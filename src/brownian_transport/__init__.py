@@ -54,6 +54,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .solver import (
+    InvariantCheck,
     PiecewiseLinear,
     SolverState,
     TransportSolution,
@@ -61,7 +62,6 @@ from .solver import (
     extend_f,
     init_state,
     solve,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -77,6 +77,7 @@ __all__ = [
     "EmpiricalMeasure",
     "FeasibilityReport",
     "GapConstants",
+    "InvariantCheck",
     "LatticeMeasure",
     "NonTerminationError",
     "NumericToleranceError",
@@ -112,7 +113,6 @@ __all__ = [
     "simulate_counterexample_paths",
     "simulate_first_intersection",
     "solve",
-    "step",
     "triangle",
     "truncate_normalize",
     "uniform",

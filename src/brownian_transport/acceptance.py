@@ -20,7 +20,7 @@ from .errors import ConsistencyError, NonTerminationError, PreconditionError
 from .lattice import LatticeMeasure
 from .measures import build_cantor, cantor_gap_constants
 from .pipeline import CantelliConfig, f1_asymptotics_report, run_pipeline
-from .solver import solve
+from .solver import InvariantCheck, solve
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,18 @@ def criterion_1(ctx: AcceptanceContext):
     for v0, v1 in pairs:
         m0 = LatticeMeasure(1, 0, np.array(v0, dtype=float) / 8.0)
         m1 = LatticeMeasure(1, 0, np.array(v1, dtype=float) / 8.0)
-        sol = solve(m0, m1, max_steps=100_000, check_invariants=True,
-                    keep_live_history=True)
+        check, live_history = InvariantCheck(), []
+
+        def observe(state):
+            check(state)
+            live_history.append(state.live.copy())
+
+        sol = solve(m0, m1, max_steps=100_000, observe=observe)
         hi = sol.offset + sol.freeze_step.size - 1
         w0 = m0.trimmed().with_window(sol.offset, hi).masses
         w1 = m1.trimmed().with_window(sol.offset, hi).masses
         ref = exhaustive_transport(w0, w1, max_steps=100_000)
-        for a, b in zip(sol.live_history, ref["walking_history"]):
+        for a, b in zip(live_history, ref["walking_history"]):
             worst = max(worst, float(np.abs(a - np.asarray(b)).max()))
         worst_stop = max(
             worst_stop,
@@ -190,7 +195,7 @@ def criterion_2(ctx: AcceptanceContext):
     for k in range(ctx.random_instances):
         m0, m1 = random_feasible_pair(rng)
         try:
-            sol = solve(m0, m1, check_invariants=True)
+            sol = solve(m0, m1, observe=InvariantCheck())
         except (ConsistencyError, NonTerminationError, PreconditionError):
             failures += 1
             continue

@@ -22,7 +22,7 @@ from .errors import (
 from .lattice import LatticeMeasure
 from .measures import build_cantor, cantor_gap_constants
 from .pipeline import CantelliConfig, run_pipeline
-from .solver import init_state, solve, step
+from .solver import LIVE_TOL, solve
 
 ENV_OUT_DIR = "BROWNIAN_TRANSPORT_OUT_DIR"
 
@@ -164,19 +164,21 @@ def _cmd_solve(params):
     verbose = int(params.get("verbose", 0))
     max_steps = int(params["max_steps"]) if "max_steps" in params else None
     if verbose >= 2:
-        rows = []
-        state = init_state(mu0, mu1)
-        budget = max_steps or 10_000
-        while float(state.live.sum()) > 1e-12 and state.t <= budget:
-            frozen = state.frozen_mask()
-            for k in range(state.live.size):
-                rows.append((state.t, state.offset + k,
-                             float(state.live[k]), float(state.phi[k]),
-                             int(frozen[k])))
-            state = step(state)
-        _write_csv(os.path.join(out, "steplog.csv"),
-                   ["t", "cell", "nu", "phi", "frozen_flag"], rows)
-    sol = solve(mu0, mu1, max_steps=max_steps)
+        with open(os.path.join(out, "steplog.csv"), "w") as log:
+            log.write("t,cell,nu,phi,frozen_flag\n")
+
+            def write_rows(state):
+                if float(state.live.sum()) <= LIVE_TOL:
+                    return  # the terminating state takes no step
+                for k in range(state.live.size):
+                    log.write(f"{state.t},{state.offset + k},"
+                              f"{_fmt(float(state.live[k]))},"
+                              f"{_fmt(float(state.phi[k]))},"
+                              f"{int(state.absorbing[k])}\n")
+
+            sol = solve(mu0, mu1, max_steps=max_steps, observe=write_rows)
+    else:
+        sol = solve(mu0, mu1, max_steps=max_steps)
     sol.to_csv(os.path.join(out, "solution.csv"))
     sol.stopped.to_csv(os.path.join(out, "stopped.csv"))
     gap = abs(sol.expected_time - (mu1.variance() - mu0.variance()))

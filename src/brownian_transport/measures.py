@@ -14,6 +14,7 @@ adaptive Simpson quadrature.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -643,17 +644,31 @@ class CantorSet:
         out = inside | on_edge
         return bool(out) if np.ndim(x) == 0 else out
 
+    @cached_property
+    def _prefix_lengths(self):
+        """Left endpoints, and the total length of the first k intervals."""
+        lefts = [lo for lo, _ in self.intervals]
+        prefix = [Fraction(0)]
+        for lo, hi in self.intervals:
+            prefix.append(prefix[-1] + (hi - lo))
+        return lefts, prefix
+
+    def _covered_up_to(self, x):
+        """Exact length of the set left of x; the intervals are sorted and
+        disjoint, as `build_cantor` makes them."""
+        lefts, prefix = self._prefix_lengths
+        k = bisect_right(lefts, x)
+        if k == 0:
+            return Fraction(0)
+        lo, hi = self.intervals[k - 1]
+        return prefix[k - 1] + min(x, hi) - lo
+
     def complement_within(self, a, b):
         """Exact Lebesgue measure of [a, b] minus the set (Fractions)."""
         a, b = Fraction(a), Fraction(b)
         if b <= a:
             return Fraction(0)
-        covered = Fraction(0)
-        for lo, hi in self.intervals:
-            p, q = max(lo, a), min(hi, b)
-            if q > p:
-                covered += q - p
-        return (b - a) - covered
+        return (b - a) - (self._covered_up_to(b) - self._covered_up_to(a))
 
 
 def build_cantor(ambient, depth):

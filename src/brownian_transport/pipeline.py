@@ -167,8 +167,8 @@ class CantelliResult:
         return np.unique(np.concatenate([self.f.set_edges, self.f1.xs]))
 
 
-def run_pipeline(cfg: CantelliConfig | None = None, max_steps=None,
-                 keep_step_log=False) -> CantelliResult:
+def run_pipeline(cfg: CantelliConfig | None = None,
+                 max_steps=None) -> CantelliResult:
     """Assemble the counter-example for the given configuration.
 
     Builds the Cantor set and the two measures, re-centers them (which
@@ -199,8 +199,7 @@ def run_pipeline(cfg: CantelliConfig | None = None, max_steps=None,
     mu1n = discretize(mu1c, cfg.mesh_n, clip=R)
 
     try:
-        sol = solve(mu0n, mu1n, max_steps=max_steps,
-                    keep_step_log=keep_step_log)
+        sol = solve(mu0n, mu1n, max_steps=max_steps)
     except PreconditionError as exc:
         raise PreconditionError(
             f"{exc}; the truncated problem violates the transport "

@@ -2,8 +2,13 @@
 
 State at integer step t holds the live mass vector (particles still
 walking), the frozen mass accumulated so far, and the cost-to-target
-profile in integer lattice units.  One step applies, simultaneously from
-the time-t snapshot:
+profile in integer lattice units.  One step decides, simultaneously from
+the time-t snapshot, how much mass diffuses on from each cell:
+
+  d = min(live, 2 * cost)
+
+which covers every case at once, because the factors 2 and 1/2 are
+exact in floating point:
 
   cost(x) = 0            cell is (or becomes) absorbing, live mass stops
   0 < cost(x) < live/2   partial freeze: exactly 2*cost(x) diffuses on,
@@ -11,14 +16,19 @@ the time-t snapshot:
   cost(x) >= live/2      full diffusion (equality also stamps the freeze
                          step, with survival 1)
 
-then live mass splits in halves onto the two neighbours and the cost
-profile decreases by min(live/2, cost).  Mass reaching an absorbing cell
-stops there at its arrival step.  The procedure terminates with the
-frozen mass equal to the target measure.
+then the diffusing mass splits in halves onto the two neighbours and the
+cost profile decreases by d/2.  Mass reaching an absorbing cell stops
+there at its arrival step.  The procedure terminates with the frozen
+mass equal to the target measure.
+
+`solve` is the only run loop.  It updates one `SolverState` in place and
+hands it to an optional ``observe`` callback at the top of every
+iteration; `InvariantCheck`, the live history of the acceptance suite,
+`component_collapse_diagnostic` and the CLI step log are such observers.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,25 +40,35 @@ PHI_ABORT = -1e-9  # beyond this the run is inconsistent
 LIVE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverState:
-    """Immutable snapshot of the transport iteration at step t."""
+    """The transport iteration at step t.
+
+    `solve` updates the arrays in place, so an observer that keeps one
+    beyond the current step must copy it.
+    """
 
     mesh_n: int
     offset: int  # absolute cell index of the window's left edge
     t: int
-    live: np.ndarray  # not-yet-stopped mass, zero at frozen cells
+    live: np.ndarray  # not-yet-stopped mass, zero at absorbing cells
     stopped: np.ndarray  # accumulated frozen mass
     phi: np.ndarray  # integer-unit cost to the target, >= 0
     freeze_step: np.ndarray  # int, -1 while a cell has not frozen
     survival: np.ndarray  # fraction diffusing at the freeze step, NaN before
     target: np.ndarray  # target masses on the window
+    absorbing: np.ndarray = field(init=False)  # freeze_step >= 0
+    # per-step work buffers of the kernel
+    _diffused: np.ndarray = field(init=False, repr=False)
+    _half: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.absorbing = self.freeze_step >= 0
+        self._diffused = np.empty_like(self.live)
+        self._half = np.empty_like(self.live)
 
     def total_mass(self):
         return float(self.live.sum() + self.stopped.sum())
-
-    def frozen_mask(self):
-        return self.freeze_step >= 0
 
 
 def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
@@ -124,84 +144,49 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
 
 
 def _advance(state: SolverState):
-    """One freeze/diffuse update.
+    """One freeze/diffuse update of the state's arrays, in place.
 
-    Returns (new_state, diffused mass, mass stopped at t, mass landing on
-    absorbing cells, which stops at t + 1).
+    Returns (diffused mass, mass stopped at t, mass landing on absorbing
+    cells, which stops at t + 1).
     """
-    live, phi = state.live, state.phi
+    live, phi, d, half = state.live, state.phi, state._diffused, state._half
     t = state.t
-    frozen = state.freeze_step >= 0
 
-    two_phi = 2.0 * phi
-    zero = phi <= 0.0
-    partial = (phi > 0.0) & (two_phi < live)
-    tie = (phi > 0.0) & (two_phi == live)
-
-    diffused = np.where(zero, 0.0, np.where(partial, two_phi, live))
-
-    freeze_step = state.freeze_step
-    survival = state.survival
-    newly = ~frozen & (partial | tie | (zero & (live > 0.0)))
-    if np.any(newly):
-        freeze_step = freeze_step.copy()
-        survival = survival.copy()
-        freeze_step[newly] = t
-        q = np.where(
-            partial, np.divide(two_phi, live, out=np.zeros_like(live),
-                               where=live > 0.0),
-            np.where(tie, 1.0, 0.0),
-        )
-        survival[newly] = q[newly]
-
-    stops_here = live - diffused
-    stopped = state.stopped + stops_here
-
-    if diffused[0] != 0.0 or diffused[-1] != 0.0:
+    np.multiply(phi, 2.0, out=d)
+    # absorbing cells hold no live mass, so live > 0 excludes them
+    newly = (live > 0.0) & (d <= live)
+    np.minimum(live, d, out=d)
+    if newly.any():
+        state.freeze_step[newly] = t
+        state.survival[newly] = d[newly] / live[newly]
+        state.absorbing |= newly
+    if d[0] != 0.0 or d[-1] != 0.0:
         raise ConsistencyError(
             f"mass diffusing out of the window at step {t}"
         )
-    arrivals = np.zeros_like(live)
-    arrivals[:-1] += 0.5 * diffused[1:]
-    arrivals[1:] += 0.5 * diffused[:-1]
 
-    phi_next = phi - np.minimum(0.5 * live, phi)
-    bad = phi_next < PHI_ABORT
-    if np.any(bad):
-        k = int(np.argmin(phi_next))
+    np.subtract(live, d, out=live)  # the mass stopping at t
+    state.stopped += live
+    stopped_now = float(live.sum())
+
+    np.multiply(d, 0.5, out=half)
+    phi -= half
+    if phi.min() < PHI_ABORT:
+        k = int(np.argmin(phi))
         raise ConsistencyError(
-            f"cost went negative ({phi_next[k]:.3e}) at cell "
+            f"cost went negative ({phi[k]:.3e}) at cell "
             f"{state.offset + k}, step {t}"
         )
-    phi_next = np.maximum(phi_next, 0.0)
 
-    # arrivals onto already-absorbing cells stop at their arrival step t+1
-    absorbing = (freeze_step >= 0) & (freeze_step <= t)
-    landing_stops = np.where(absorbing, arrivals, 0.0)
-    stopped = stopped + landing_stops
-    live_next = np.where(absorbing, 0.0, arrivals)
-
-    new = replace(
-        state,
-        t=t + 1,
-        live=live_next,
-        stopped=stopped,
-        phi=phi_next,
-        freeze_step=freeze_step,
-        survival=survival,
-    )
-    stopped_now = float(stops_here.sum())  # mass with stopping time t
-    return new, float(diffused.sum()), stopped_now, float(landing_stops.sum())
-
-
-def step(state: SolverState) -> SolverState:
-    """Pure one-step update (freeze decisions from the time-t snapshot,
-    then diffusion)."""
-    new, _, _, _ = _advance(state)
-    total = new.total_mass()
-    if abs(total - state.total_mass()) > LIVE_TOL:
-        raise ConsistencyError("mass not conserved across a step")
-    return new
+    # live becomes the arrivals; those on absorbing cells stop at t + 1
+    live[:-1] = half[1:]
+    live[-1] = 0.0
+    live[1:] += half[:-1]
+    np.multiply(live, state.absorbing, out=half)
+    state.stopped += half
+    live -= half
+    state.t = t + 1
+    return float(d.sum()), stopped_now, float(half.sum())
 
 
 def _coincidence_violation(state: SolverState, tol=1e-10):
@@ -230,6 +215,26 @@ def _coincidence_violation(state: SolverState, tol=1e-10):
     return None
 
 
+class InvariantCheck:
+    """Observer for `solve` that asserts, at every step, the discrete
+    coincidence invariant and that no cell's cost increases."""
+
+    def __init__(self):
+        self.prev_phi = None
+
+    def __call__(self, state: SolverState):
+        msg = _coincidence_violation(state)
+        if msg is not None:
+            raise ConsistencyError(
+                f"coincidence invariant failed at step {state.t}: {msg}"
+            )
+        if self.prev_phi is not None and np.any(
+            state.phi > self.prev_phi + 1e-15
+        ):
+            raise ConsistencyError("cost increased across a step")
+        self.prev_phi = state.phi.copy()
+
+
 @dataclass(frozen=True)
 class TransportSolution:
     """Outcome of a terminated freeze/diffuse run (physical units)."""
@@ -242,8 +247,6 @@ class TransportSolution:
     expected_time: float
     max_time: float
     steps: int
-    step_log: tuple | None = None
-    live_history: tuple | None = None
 
     @property
     def cells(self):
@@ -270,16 +273,16 @@ def solve(
     mu0n: LatticeMeasure,
     mu1n: LatticeMeasure,
     max_steps: int | None = None,
-    check_invariants: bool = False,
-    keep_live_history: bool = False,
-    keep_step_log: bool = False,
+    observe=None,
 ) -> TransportSolution:
     """Run the freeze/diffuse iteration until all mass has stopped.
 
     Stops when the cost profile has vanished and the live mass is below
     1e-12; the frozen measure then equals the target cellwise.  Raises
     NonTerminationError with residual diagnostics if the step budget runs
-    out first.
+    out first.  ``observe(state)``, if given, runs at the top of every
+    iteration, the terminating one included; it must not modify the
+    state, whose arrays change in place after it returns.
     """
     state = init_state(mu0n, mu1n)
     if max_steps is None:
@@ -288,46 +291,29 @@ def solve(
 
     total0 = state.total_mass()
     moves = []
-    log = [] if keep_step_log else None
-    live_history = [] if keep_live_history else None
     last_stop = 0
-    prev_phi = state.phi
 
     while state.t <= max_steps:
-        if keep_live_history:
-            live_history.append(state.live.copy())
-        live_total = float(state.live.sum())
-        phi_max = float(state.phi.max())
-        if live_total <= LIVE_TOL:
+        if observe is not None:
+            observe(state)
+        if float(state.live.sum()) <= LIVE_TOL:
+            phi_max = float(state.phi.max())
             if phi_max <= 1e-9:
                 break
             raise ConsistencyError(
                 f"live mass exhausted at step {state.t} with residual cost "
                 f"{phi_max:.3e}"
             )
-        if check_invariants:
-            msg = _coincidence_violation(state)
-            if msg is not None:
-                raise ConsistencyError(
-                    f"coincidence invariant failed at step {state.t}: {msg}"
-                )
-            if np.any(state.phi > prev_phi + 1e-15):
-                raise ConsistencyError("cost increased across a step")
-            prev_phi = state.phi
-        new, diffused_sum, stopped_now, landed = _advance(state)
-        if abs(new.total_mass() - total0) > 1e-12 * max(1.0, total0):
-            raise ConsistencyError(
-                f"mass drift beyond 1e-12 at step {state.t}"
-            )
+        t = state.t
+        diffused_sum, stopped_now, landed = _advance(state)
+        if abs(state.total_mass() - total0) > 1e-12 * max(1.0, total0):
+            raise ConsistencyError(f"mass drift beyond 1e-12 at step {t}")
         moves.append(diffused_sum)
-        if stopped_now > 0.0:
-            last_stop = max(last_stop, state.t)
+        # decided stops carry time t, landings on absorbing cells t + 1
         if landed > 0.0:
-            last_stop = max(last_stop, state.t + 1)
-        if keep_step_log:
-            # decided stops carry time t, landings on absorbing cells t + 1
-            log.append((state.t, live_total, phi_max, stopped_now, landed))
-        state = new
+            last_stop = t + 1
+        elif stopped_now > 0.0:
+            last_stop = t
     else:
         raise NonTerminationError(
             f"no termination in {max_steps} steps; live mass "
@@ -343,8 +329,8 @@ def solve(
         )
 
     n2 = float(state.mesh_n**2)
-    freeze_step = state.freeze_step.copy()
-    survival = state.survival.copy()
+    freeze_step = state.freeze_step
+    survival = state.survival
     never = freeze_step < 0  # cells no mass ever visited
     freeze_step[never] = 0
     survival[never] = 0.0
@@ -354,13 +340,10 @@ def solve(
         offset=state.offset,
         freeze_step=freeze_step,
         survival=survival,
-        stopped=LatticeMeasure(state.mesh_n, state.offset,
-                               state.stopped.copy()),
+        stopped=LatticeMeasure(state.mesh_n, state.offset, state.stopped),
         expected_time=math.fsum(moves) / n2,
         max_time=last_stop / n2,
         steps=state.t,
-        step_log=tuple(log) if keep_step_log else None,
-        live_history=tuple(live_history) if keep_live_history else None,
     )
 
 
@@ -373,14 +356,9 @@ def component_collapse_diagnostic(mu0n: LatticeMeasure, mu1n: LatticeMeasure,
     physical width.  The maximum ratio is a diagnostic constant; theory
     bounds it but assigns it no value.
     """
-    state = init_state(mu0n, mu1n)
     masks = []
-    while float(state.live.sum()) > LIVE_TOL and state.t <= max_steps:
-        masks.append(state.phi > 0.0)
-        state = step(state)
-    masks.append(state.phi > 0.0)
-    if not masks:
-        return []
+    solve(mu0n, mu1n, max_steps=max_steps,
+          observe=lambda state: masks.append(state.phi > 0.0))
     alive = np.vstack(masks)
     # first step at which each cell's cost has vanished for good
     zero_from = np.where(

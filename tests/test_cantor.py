@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,27 @@ def test_removed_gap_ratio_trivial():
     assert leb == b - a
     L = float(b - a)
     assert float(leb) / L**2 == pytest.approx(1.0 / L)
+
+
+def test_complement_matches_interval_loop():
+    # the prefix-sum bisection against the direct sum over all intervals,
+    # on random rationals, interval endpoints and points outside the hull
+    K = build_cantor((-1, 1), 5)
+    ends = [e for iv in K.intervals for e in iv]
+    rng = random.Random(7)
+
+    def point():
+        if rng.random() < 0.4:
+            return rng.choice(ends)
+        return Fraction(rng.randint(-1300, 1300), rng.randint(1, 1000))
+
+    def by_loop(a, b):
+        if b <= a:
+            return Fraction(0)
+        covered = sum((min(hi, b) - max(lo, a) for lo, hi in K.intervals
+                       if min(hi, b) > max(lo, a)), Fraction(0))
+        return (b - a) - covered
+
+    for _ in range(3000):
+        a, b = point(), point()
+        assert K.complement_within(a, b) == by_loop(a, b)

@@ -5,6 +5,7 @@ import pytest
 
 from brownian_transport.cli import ENV_OUT_DIR, main
 from brownian_transport.lattice import LatticeMeasure
+from brownian_transport.solver import solve
 
 
 def test_pipeline_writes_outputs(tmp_path):
@@ -75,6 +76,30 @@ def test_solve_roundtrip(tmp_path):
     assert log_lines[0] == "t,cell,nu,phi,frozen_flag"
     assert len(log_lines) > 5
     assert (out / "stopped.csv").exists()
+
+
+def test_steplog_covers_runs_beyond_ten_thousand_steps(tmp_path):
+    # point mass to the two edges of a 51-cell window: 14 111 steps, one
+    # block of rows per step up to termination
+    m = 25
+    target = np.zeros(2 * m + 1)
+    target[[0, -1]] = 0.5
+    mu0 = LatticeMeasure(1, 0, np.array([1.0]))
+    mu1 = LatticeMeasure(1, -m, target)
+    mu0.to_csv(tmp_path / "mu0.csv")
+    mu1.to_csv(tmp_path / "mu1.csv")
+    out = tmp_path / "sol"
+    code = main([
+        "solve", f"mu0={tmp_path / 'mu0.csv'}", f"mu1={tmp_path / 'mu1.csv'}",
+        f"out_dir={out}", "verbose=2",
+    ])
+    assert code == 0
+    steps = solve(mu0, mu1).steps
+    assert steps > 10_000
+    with open(out / "steplog.csv") as fh:
+        next(fh)
+        ts = [int(line.split(",", 1)[0]) for line in fh]
+    assert ts == [t for t in range(steps) for _ in range(target.size)]
 
 
 def test_solve_infeasible_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -192,6 +193,23 @@ class TestRunPipeline:
 
     def test_modulus_diagnostic_present(self, small_pipeline):
         assert small_pipeline.diagnostics["modulus_step"] > 0.0
+
+    # sha256 of freeze_step (<i8), survival and stopped masses (<f8), cut
+    # to 16 hex digits, with the step count and E T as recorded before the
+    # solver kernel was rewritten in place: a kernel change must keep them
+    @pytest.mark.parametrize("n, digest, steps, expected_time", [
+        (16, "a0e52c4c498a15e3", 208, "0x1.5db1283c46ee1p-1"),
+        (100, "0d2ad55eb8baad7e", 8142, "0x1.5db12a133d583p-1"),
+    ])
+    def test_solve_bit_identical(self, n, digest, steps, expected_time):
+        sol = run_pipeline(CantelliConfig(mesh_n=n)).solution
+        h = hashlib.sha256()
+        for arr, dtype in ((sol.freeze_step, "<i8"), (sol.survival, "<f8"),
+                           (sol.stopped.masses, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        assert h.hexdigest()[:16] == digest
+        assert sol.steps == steps
+        assert sol.expected_time == float.fromhex(expected_time)
 
 
 class TestTruncation:

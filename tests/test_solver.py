@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,18 +11,43 @@ from brownian_transport.errors import (
 )
 from brownian_transport.lattice import LatticeMeasure
 from brownian_transport.solver import (
+    InvariantCheck,
     PiecewiseLinear,
     component_collapse_diagnostic,
     extend_f,
     init_state,
     solve,
-    step,
 )
 
 DELTA0 = LatticeMeasure(1, 0, np.array([1.0]))
 HALVES = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
 QUARTERS = LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
 POSITIVE = LatticeMeasure(1, -1, np.array([0.25, 0.5, 0.25]))
+
+
+class Snapshots:
+    """solve observer that checks the invariants and keeps a copy of
+    every state it sees."""
+
+    FIELDS = ("live", "stopped", "phi", "freeze_step", "survival")
+
+    def __init__(self):
+        self.states = []
+        self.check = InvariantCheck()
+
+    def __call__(self, state):
+        self.check(state)
+        self.states.append(SimpleNamespace(
+            t=state.t, **{f: getattr(state, f).copy() for f in self.FIELDS}
+        ))
+
+
+def state_at(mu0, mu1, t):
+    """The solver state at step t, read through the observer."""
+    snaps = Snapshots()
+    solve(mu0, mu1, observe=snaps)
+    assert snaps.states[t].t == t
+    return snaps.states[t]
 
 
 class TestInitState:
@@ -60,8 +86,7 @@ class TestInitState:
 
 class TestStepBranches:
     def test_tie_diffuses_fully_and_freezes(self):
-        st = init_state(DELTA0, HALVES)
-        nxt = step(st)
+        nxt = state_at(DELTA0, HALVES, 1)
         # the center had cost exactly half its mass: survival 1, frozen now
         assert nxt.freeze_step[1] == 0 and nxt.survival[1] == 1.0
         assert np.array_equal(nxt.live, [0.5, 0.0, 0.5])
@@ -70,14 +95,13 @@ class TestStepBranches:
     def test_full_diffusion_without_freeze(self):
         st = init_state(DELTA0, QUARTERS)
         assert st.phi[2] == 0.75  # above half the unit mass
-        nxt = step(st)
+        nxt = state_at(DELTA0, QUARTERS, 1)
         assert nxt.freeze_step[2] == -1
         assert nxt.phi[2] == 0.25
         assert np.array_equal(nxt.live, [0.0, 0.5, 0.0, 0.5, 0.0])
 
     def test_zero_cost_cell_absorbs(self):
-        st = init_state(POSITIVE, POSITIVE)
-        nxt = step(st)
+        nxt = state_at(POSITIVE, POSITIVE, 1)
         assert np.all(nxt.freeze_step == 0)
         assert np.all(nxt.survival == 0.0)
         assert np.all(nxt.live == 0.0)
@@ -88,7 +112,7 @@ class TestStepBranches:
         mu1 = LatticeMeasure(1, -1, np.array([0.1, 0.8, 0.1]))
         st = init_state(DELTA0, mu1)
         assert st.phi[1] == pytest.approx(0.1)
-        nxt = step(st)
+        nxt = state_at(DELTA0, mu1, 1)
         assert nxt.freeze_step[1] == 0
         assert nxt.survival[1] == pytest.approx(0.2)
         assert nxt.stopped[1] == pytest.approx(0.8)
@@ -97,7 +121,7 @@ class TestStepBranches:
 
 class TestSolve:
     def test_point_to_halves(self):
-        sol = solve(DELTA0, HALVES, check_invariants=True, keep_step_log=True)
+        sol = solve(DELTA0, HALVES, observe=InvariantCheck())
         assert np.array_equal(sol.freeze_step, [1, 0, 1])
         assert np.array_equal(sol.survival, [0.0, 1.0, 0.0])
         assert np.array_equal(sol.stopped.masses, [0.5, 0.0, 0.5])
@@ -106,13 +130,13 @@ class TestSolve:
         assert sol.max_time == 1.0
 
     def test_identity_is_instant(self):
-        sol = solve(POSITIVE, POSITIVE, check_invariants=True)
+        sol = solve(POSITIVE, POSITIVE, observe=InvariantCheck())
         assert np.all(sol.freeze_step == 0)
         assert sol.expected_time == 0.0
 
     def test_point_to_quarters_matches_oracle(self):
-        sol = solve(DELTA0, QUARTERS, check_invariants=True,
-                    keep_live_history=True)
+        snaps = Snapshots()
+        sol = solve(DELTA0, QUARTERS, observe=snaps)
         assert sol.expected_time == pytest.approx(2.5, abs=1e-12)
         hi = sol.offset + sol.freeze_step.size - 1
         w0 = DELTA0.trimmed().with_window(sol.offset, hi).masses
@@ -121,15 +145,22 @@ class TestSolve:
         assert ref["g"] == sol.freeze_step.tolist()
         assert np.allclose(ref["q"], sol.survival, atol=0)
         assert np.allclose(ref["parked"], sol.stopped.masses, atol=0)
-        for ours, theirs in zip(sol.live_history, ref["walking_history"]):
-            assert np.array_equal(ours, np.asarray(theirs))
+        assert len(snaps.states) == len(ref["walking_history"])
+        for ours, theirs in zip(snaps.states, ref["walking_history"]):
+            assert np.array_equal(ours.live, np.asarray(theirs))
 
     def test_expected_time_equals_stop_time_average(self):
-        sol = solve(DELTA0, QUARTERS, keep_step_log=True)
+        snaps = Snapshots()
+        sol = solve(DELTA0, QUARTERS, observe=snaps)
         n2 = sol.mesh_n**2
-        from_log = sum(t * s + (t + 1) * landed
-                       for t, _, _, s, landed in sol.step_log) / n2
-        assert sol.expected_time == pytest.approx(from_log, abs=1e-12)
+        from_log = 0.0
+        for st, nxt in zip(snaps.states, snaps.states[1:]):
+            # stops decided at t carry time t, landings on absorbing
+            # cells the rest of the change in stopped, time t + 1
+            s = float(np.sum(st.live - np.minimum(st.live, 2.0 * st.phi)))
+            landed = float(np.sum(nxt.stopped - st.stopped)) - s
+            from_log += st.t * s + (st.t + 1) * landed
+        assert sol.expected_time == pytest.approx(from_log / n2, abs=1e-12)
 
     def test_mass_conserved_and_cost_monotone(self):
         rng = np.random.default_rng(5)
@@ -138,15 +169,15 @@ class TestSolve:
         m1 /= m1.sum()
         mu1 = LatticeMeasure(1, -4, m1)
         mu0 = LatticeMeasure(1, 0, np.array([1.0]))
-        st = init_state(mu0, mu1)
-        total = st.live.sum() + st.stopped.sum()
-        while st.live.sum() > 1e-12:
-            nxt = step(st)
+        snaps = Snapshots()
+        solve(mu0, mu1, observe=snaps)
+        first = snaps.states[0]
+        total = first.live.sum() + first.stopped.sum()
+        for st, nxt in zip(snaps.states, snaps.states[1:]):
             assert nxt.live.sum() + nxt.stopped.sum() == pytest.approx(
                 total, abs=1e-12
             )
             assert np.all(nxt.phi <= st.phi + 1e-15)
-            st = nxt
 
     def test_nontermination_budget(self):
         with pytest.raises(NonTerminationError):
@@ -160,10 +191,9 @@ class TestSolve:
 
     def test_stefan_residuals(self):
         # after a cell freezes its cost stays zero and no mass walks there
-        st = init_state(DELTA0, QUARTERS)
-        states = [st]
-        while states[-1].live.sum() > 1e-12:
-            states.append(step(states[-1]))
+        snaps = Snapshots()
+        solve(DELTA0, QUARTERS, observe=snaps)
+        states = snaps.states
         final = states[-1]
         for k in range(final.freeze_step.size):
             g = final.freeze_step[k]
