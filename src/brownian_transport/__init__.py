@@ -19,12 +19,10 @@ from .measures import (
     DensityMeasure,
     FeasibilityReport,
     GapConstants,
-    Quadrature,
     build_cantor,
     cantor_gap_constants,
     cost,
     feasibility_check,
-    from_density,
     from_pieces,
     gamma_center,
     gaussian,
@@ -84,7 +82,6 @@ __all__ = [
     "PathSimConfig",
     "PiecewiseLinear",
     "PreconditionError",
-    "Quadrature",
     "SolverState",
     "TransportSolution",
     "build_cantor",
@@ -98,7 +95,6 @@ __all__ = [
     "extend_f",
     "f1_asymptotics_report",
     "feasibility_check",
-    "from_density",
     "from_pieces",
     "gamma_center",
     "gaussian",

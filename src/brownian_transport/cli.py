@@ -30,13 +30,11 @@ _COMMANDS = ("solve", "pipeline", "verify", "cantor", "convergence")
 
 _VALID_KEYS = {
     "solve": {"mu0", "mu1", "out_dir", "verbose", "max_steps"},
-    "pipeline": {"t0", "r", "depth", "R", "n", "margin", "out_dir", "svg",
-                 "verbose"},
+    "pipeline": {"t0", "r", "depth", "R", "n", "margin", "out_dir", "svg"},
     "verify": {"seed", "paths", "meshes", "instances", "gap_samples",
-               "sim_mesh", "cells", "out_dir", "verbose"},
-    "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir",
-               "verbose"},
-    "convergence": {"meshes", "paths", "seed", "out_dir", "verbose"},
+               "sim_mesh", "cells", "out_dir"},
+    "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir"},
+    "convergence": {"meshes", "paths", "seed", "out_dir"},
 }
 
 
@@ -122,7 +120,7 @@ def _cmd_pipeline(params):
     cfg = CantelliConfig(
         t0=float(params.get("t0", 0.5)),
         cantor_radius=float(params["r"]) if "r" in params else None,
-        cantor_depth=int(params.get("depth", 8)),
+        cantor_depth=int(params["depth"]) if "depth" in params else None,
         truncation_R=float(params.get("R", 4.0)),
         mesh_n=int(params.get("n", 400)),
         horizon_margin=float(params.get("margin", 0.05)),

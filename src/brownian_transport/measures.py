@@ -1,14 +1,13 @@
-"""One-dimensional measures given by evaluable densities.
+"""One-dimensional measures with piecewise Gaussian and affine densities.
 
 Provides cumulative distribution functions, the CDF primitive used as the
 transport cost, Cantor sets with exact rational endpoints, and the
 centering / truncation transforms that prepare measures for discretization.
 
-Measures built from the constructors in this module (``gaussian``,
-``uniform``, ``triangle``, ``from_pieces``) carry closed-form interval
-moments, so downstream integrals are exact to rounding.  ``from_density``
-accepts an arbitrary density on a bounded support and falls back to
-adaptive Simpson quadrature.
+Every measure is built from contiguous pieces, each an affine density
+plus Gaussian terms, by the constructors in this module (``gaussian``,
+``uniform``, ``triangle``, ``from_pieces``).  Interval moments are
+closed-form, so every integral downstream is exact to rounding.
 """
 
 import math
@@ -27,14 +26,6 @@ from .errors import NumericToleranceError, PreconditionError
 MEAN_TOL = 1e-9
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Adaptive Simpson settings for numerically backed measures."""
-
-    tol: float = 1e-10
-    max_depth: int = 48
 
 
 # ---------------------------------------------------------------------------
@@ -216,102 +207,50 @@ class _Segments:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Simpson fallback
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth):
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        if depth <= 0:
-            raise NumericToleranceError(
-                f"Simpson refinement did not converge on [{a}, {b}]"
-            )
-        return rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + rec(
-            m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-        )
-
-    if b <= a:
-        return 0.0
-    return rec(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-# ---------------------------------------------------------------------------
 # DensityMeasure
 
 
 @dataclass(frozen=True)
 class DensityMeasure:
-    """A measure on the line given by a nonnegative density.
+    """A measure on the line given by a nonnegative piecewise density.
 
-    ``support`` is the closed hull of the density (endpoints may be
-    infinite).  ``total_mass`` is 1 for probability measures and below 1
-    for sub-probability restrictions.  When ``segments`` is present all
-    interval moments are closed-form; otherwise integrals run through
-    adaptive Simpson quadrature and the support must be bounded.
+    ``segments`` holds the contiguous pieces, whose interval moments are
+    closed-form.  ``total_mass`` is 1 for probability measures and below
+    1 for sub-probability restrictions.  ``support`` (the closed hull of
+    the pieces, endpoints may be infinite), ``breakpoints`` (the finite
+    piece edges) and ``density`` are read off the segments.
     """
 
-    density: object
-    support: tuple[float, float]
+    segments: _Segments
     total_mass: float = 1.0
-    breakpoints: tuple[float, ...] = ()
-    quadrature: Quadrature = Quadrature()
-    segments: _Segments | None = None
 
-    # -- integration backends ------------------------------------------------
+    @property
+    def support(self):
+        edges = self.segments.edges
+        return float(edges[0]), float(edges[-1])
 
-    def _numeric_moment(self, a, b, k):
-        lo, hi = self.support
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise PreconditionError(
-                "numerically backed measures need a bounded support; "
-                "truncate first"
-            )
-        a, b = max(a, lo), min(b, hi)
-        if b <= a:
-            return 0.0
-        cuts = [a] + [c for c in self.breakpoints if a < c < b] + [b]
-        tol = self.quadrature.tol / max(len(cuts) - 1, 1)
-        f = self.density if k == 0 else (lambda x: x**k * self.density(x))
-        return sum(
-            _adaptive_simpson(f, p, q, tol, self.quadrature.max_depth)
-            for p, q in zip(cuts, cuts[1:])
-        )
+    @property
+    def breakpoints(self):
+        return tuple(float(e) for e in self.segments.edges
+                     if math.isfinite(e))
+
+    def density(self, x):
+        return self.segments.density(x)
 
     def moments(self, a, b):
         """(mass, first moment, second moment) of the density over [a, b]."""
-        if self.segments is not None:
-            return self.segments.moments(a, b)
-        return tuple(self._numeric_moment(a, b, k) for k in range(3))
+        return self.segments.moments(a, b)
 
     def moments_batch(self, p, q):
         """(mass, first moment) over many intervals, for discretization."""
-        if self.segments is not None:
-            return self.segments.moments_batch(p, q)
-        m0 = np.array([self._numeric_moment(a, b, 0) for a, b in zip(p, q)])
-        m1 = np.array([self._numeric_moment(a, b, 1) for a, b in zip(p, q)])
-        return m0, m1
+        return self.segments.moments_batch(p, q)
 
     # -- measure operations --------------------------------------------------
 
     def cdf(self, x):
         """F(x) = mass of (-inf, x]; nondecreasing, in [0, total_mass]."""
-        if self.segments is not None:
-            out = self.segments.cumulative(x)[0]
-            return float(out) if np.ndim(x) == 0 else out
-        if np.ndim(x) > 0:
-            return np.array([self.cdf(float(v)) for v in np.asarray(x)])
-        return self._numeric_moment(self.support[0], float(x), 0)
+        out = self.segments.cumulative(x)[0]
+        return float(out) if np.ndim(x) == 0 else out
 
     def mean_var(self):
         """(mean, variance); requires a finite second moment."""
@@ -326,32 +265,12 @@ class DensityMeasure:
         """Primitive of the CDF: integral of F over (-inf, x].
 
         Evaluated through the equivalent first-moment form
-        integral of (x - y) over y <= x, which is exact for measures with
-        closed-form moments.
+        integral of (x - y) over y <= x, which is exact for closed-form
+        moments.
         """
-        if self.segments is not None:
-            M0, M1 = self.segments.cumulative(x)
-            out = np.asarray(x, dtype=float) * M0 - M1
-            return float(out) if np.ndim(x) == 0 else out
-        if np.ndim(x) > 0:
-            return np.array([self.phi(float(v)) for v in np.asarray(x)])
-        x = float(x)
-        m0 = self._numeric_moment(self.support[0], x, 0)
-        m1 = self._numeric_moment(self.support[0], x, 1)
-        return x * m0 - m1
-
-    def phi_from_cdf(self, x, tol=None):
-        """Phi recomputed by integrating the CDF; cross-check path."""
-        lo = self.support[0]
-        if not math.isfinite(lo):
-            lo = min(-40.0, float(x) - 40.0)
-        tol = tol if tol is not None else self.quadrature.tol
-        if x <= lo:
-            return 0.0
-        return _adaptive_simpson(
-            lambda s: np.float64(self.cdf(float(s))), lo, float(x), tol,
-            self.quadrature.max_depth,
-        )
+        M0, M1 = self.segments.cumulative(x)
+        out = np.asarray(x, dtype=float) * M0 - M1
+        return float(out) if np.ndim(x) == 0 else out
 
     def quantile(self, u):
         """Generalized inverse of the normalized CDF, by bisection."""
@@ -393,21 +312,10 @@ class DensityMeasure:
 # Constructors
 
 
-def _measure_from_segments(segments, total_mass=None, breakpoints=None):
-    lo, hi = float(segments.edges[0]), float(segments.edges[-1])
+def _measure_from_segments(segments, total_mass=None):
     if total_mass is None:
         total_mass = segments.moments(-math.inf, math.inf)[0]
-    if breakpoints is None:
-        breakpoints = tuple(
-            float(e) for e in segments.edges if math.isfinite(e)
-        )
-    return DensityMeasure(
-        density=segments.density,
-        support=(lo, hi),
-        total_mass=float(total_mass),
-        breakpoints=breakpoints,
-        segments=segments,
-    )
+    return DensityMeasure(segments, float(total_mass))
 
 
 def gaussian(variance=1.0, total_mass=1.0):
@@ -417,7 +325,7 @@ def gaussian(variance=1.0, total_mass=1.0):
     seg = _Segments(
         [_Piece(-math.inf, math.inf, (0.0, 0.0), ((total_mass, variance),))]
     )
-    return _measure_from_segments(seg, total_mass=total_mass, breakpoints=())
+    return _measure_from_segments(seg, total_mass=total_mass)
 
 
 def uniform(lo, hi):
@@ -447,21 +355,6 @@ def from_pieces(pieces, total_mass=None):
          for lo, hi, aff, gauss in pieces]
     )
     return _measure_from_segments(segs, total_mass=total_mass)
-
-
-def from_density(density, support, breakpoints=(), quadrature=None,
-                 total_mass=1.0):
-    """Generic numerically integrated measure on a bounded support."""
-    lo, hi = support
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise PreconditionError("from_density requires a bounded support")
-    return DensityMeasure(
-        density=density,
-        support=(float(lo), float(hi)),
-        total_mass=float(total_mass),
-        breakpoints=tuple(float(b) for b in breakpoints),
-        quadrature=quadrature or Quadrature(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +408,8 @@ def gamma_center(m):
         raise NumericToleranceError("singular centering system")
     c = p1 / det
     d = -n1 / det
-    if m.segments is not None:
-        seg = m.segments.reweighted_sides(c, d)
-        out = _measure_from_segments(seg, total_mass=1.0)
-    else:
-        base = m.density
-        lo, hi = m.support
-
-        def density(x, _b=base, _c=c, _d=d):
-            x = np.asarray(x, dtype=float)
-            return np.where(x < 0.0, _c, _d) * _b(x)
-
-        out = DensityMeasure(
-            density=density,
-            support=(lo, hi),
-            total_mass=1.0,
-            breakpoints=tuple(sorted(set(m.breakpoints) | {0.0})),
-            quadrature=m.quadrature,
-        )
-    return out, c, d
+    seg = m.segments.reweighted_sides(c, d)
+    return _measure_from_segments(seg, total_mass=1.0), c, d
 
 
 def truncate_normalize(m, R):
@@ -541,24 +417,8 @@ def truncate_normalize(m, R):
     mass = m.moments(-R, R)[0]
     if mass <= 1e-300:
         raise PreconditionError(f"no mass in [-{R}, {R}]")
-    if m.segments is not None:
-        seg = m.segments.clipped_scaled(-R, R, 1.0 / mass)
-        return _measure_from_segments(seg, total_mass=1.0)
-    base = m.density
-    lo, hi = max(m.support[0], -R), min(m.support[1], R)
-
-    def density(x, _b=base, _m=mass, _lo=lo, _hi=hi):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= _lo) & (x <= _hi)
-        return np.where(inside, _b(x) / _m, 0.0)
-
-    return DensityMeasure(
-        density=density,
-        support=(lo, hi),
-        total_mass=1.0,
-        breakpoints=tuple(b for b in m.breakpoints if -R < b < R),
-        quadrature=m.quadrature,
-    )
+    seg = m.segments.clipped_scaled(-R, R, 1.0 / mass)
+    return _measure_from_segments(seg, total_mass=1.0)
 
 
 # ---------------------------------------------------------------------------

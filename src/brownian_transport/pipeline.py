@@ -43,7 +43,7 @@ class CantelliConfig:
 
     t0: float = 0.5
     cantor_radius: float | None = None  # default 0.8 * crossing radius
-    cantor_depth: int = 8
+    cantor_depth: int | None = None  # default: finer than the mesh, >= 8
     truncation_R: float = 4.0
     mesh_n: int = 400
     horizon_margin: float = 0.05
@@ -61,12 +61,19 @@ class CantelliConfig:
                 f"cantor_radius must lie in (0, {x_star:.6g}), the density "
                 "crossing radius"
             )
+        if self.mesh_n < 16:
+            raise PreconditionError("mesh_n must be at least 16")
+        if self.cantor_depth is None:
+            # every depth-d interval has length r (d+2) / ((d+1) 2^d); take
+            # the first depth from 8 whose intervals are below the hat width
+            d = 8
+            while r * (d + 2) / ((d + 1) * 2.0**d) >= 2.0 / self.mesh_n:
+                d += 1
+            object.__setattr__(self, "cantor_depth", d)
         if self.cantor_depth < 0:
             raise PreconditionError("cantor_depth must be nonnegative")
         if not self.truncation_R > 1.0:
             raise PreconditionError("truncation_R must exceed 1")
-        if self.mesh_n < 16:
-            raise PreconditionError("mesh_n must be at least 16")
         if self.horizon_margin < 0.0:
             raise PreconditionError("horizon_margin must be nonnegative")
 

@@ -145,6 +145,17 @@ def test_config_file_with_override(tmp_path):
     assert meta["t0"] == "0.5"  # explicit argument wins over the file
 
 
+@pytest.mark.parametrize("command",
+                         ["pipeline", "verify", "cantor", "convergence"])
+def test_verbose_only_for_solve(tmp_path, capsys, command):
+    code = main([command, "verbose=1", "n=16", f"out_dir={tmp_path}"]
+                if command == "pipeline" else
+                [command, "verbose=1", f"out_dir={tmp_path}"])
+    assert code == 2
+    assert "unknown keys" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_convergence_command(tmp_path, capsys):
     code = main([
         "convergence", "meshes=25,50", "paths=20000", "seed=3",

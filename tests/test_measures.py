@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
@@ -11,6 +12,18 @@ from brownian_transport.errors import PreconditionError
 from conftest import gauss_cdf_series, simpson_oracle
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def two_bumps(a, b, w):
+    """a * triangle(-1, w) + b * triangle(1, w), zero density between."""
+    h, s = 1.0 / w, 1.0 / (w * w)  # peak height and slope
+    return bt.from_pieces([
+        (-1 - w, -1, (a * (h + s), a * s), []),
+        (-1, -1 + w, (a * (h - s), -a * s), []),
+        (-1 + w, 1 - w, (0.0, 0.0), []),
+        (1 - w, 1, (b * (h - s), b * s), []),
+        (1, 1 + w, (b * (h + s), -b * s), []),
+    ])
 
 
 class TestCdf:
@@ -85,12 +98,15 @@ class TestPhi:
         ],
     )
     def test_two_evaluations_agree(self, measure):
-        # CDF-primitive form against the first-moment form
-        tol = 10 * measure.quadrature.tol
+        # first-moment form against a direct integral of the CDF
+        lo = max(measure.support[0], -12.0)
         for x in (-1.5, -0.3, 0.0, 0.4, 1.2):
-            assert measure.phi(x) == pytest.approx(
-                measure.phi_from_cdf(x), abs=tol
+            cuts = [lo, *(b for b in measure.breakpoints if lo < b < x), x]
+            quad = sum(
+                integrate.quad(measure.cdf, p, q, epsabs=1e-13)[0]
+                for p, q in zip(cuts, cuts[1:]) if q > p
             )
+            assert measure.phi(x) == pytest.approx(quad, abs=1e-9)
 
     @given(st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=25, deadline=None)
@@ -121,12 +137,7 @@ class TestCost:
         # unit mass at 0 against halves at -1 and 1: cost at 0 is 1/2
         w = 1e-3
         mu0 = bt.triangle(0.0, w)
-        mix = bt.DensityMeasure(
-            density=lambda x: 0.5 * (bt.triangle(-1.0, w).density(x)
-                                     + bt.triangle(1.0, w).density(x)),
-            support=(-1 - w, 1 + w),
-            breakpoints=(-1.0, -1 + w, 1 - w, 1.0),
-        )
+        mix = two_bumps(0.5, 0.5, w)
         assert bt.cost(mu0, mix, 0.0) == pytest.approx(0.5, abs=5 * w)
 
     def test_mean_mismatch_rejected(self):
@@ -154,12 +165,7 @@ class TestGammaCenter:
 
     def test_two_bump_weights(self):
         w = 1e-3
-        base = bt.DensityMeasure(
-            density=lambda x: (0.25 * bt.triangle(-1.0, w).density(x)
-                               + 0.75 * bt.triangle(1.0, w).density(x)),
-            support=(-1 - w, 1 + w),
-            breakpoints=(-1.0, -1 + w, 1 - w, 1.0),
-        )
+        base = two_bumps(0.25, 0.75, w)
         m, c, d = bt.gamma_center(base)
         # oracle: direct 2x2 solve on the exact interval moments
         n0, n1, _ = base.moments(-math.inf, 0.0)
@@ -230,18 +236,6 @@ class TestFeasibility:
     def test_swapped_orientation_always_fails(self):
         r = bt.feasibility_check(bt.gaussian(1.0), bt.gaussian(0.25))
         assert not r.feasible
-
-
-def test_quadrature_nonconvergence_raises():
-    # an integrable singularity defeats the refinement depth budget
-    spike = bt.from_density(
-        lambda x: 0.5 / np.sqrt(np.maximum(np.asarray(x, dtype=float),
-                                           1e-300)),
-        support=(0.0, 1.0),
-        quadrature=bt.Quadrature(tol=1e-12, max_depth=12),
-    )
-    with pytest.raises(bt.NumericToleranceError):
-        spike.cdf(0.5)
 
 
 def test_quantile_inverts_cdf():

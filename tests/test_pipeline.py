@@ -67,6 +67,14 @@ class TestConfig:
         with pytest.raises(PreconditionError):
             CantelliConfig(mesh_n=8)
 
+    def test_default_depth_resolves_the_mesh(self):
+        assert CantelliConfig(mesh_n=400).cantor_depth == 8
+        assert CantelliConfig(mesh_n=800).cantor_depth == 9
+        assert CantelliConfig(mesh_n=800, cantor_depth=12).cantor_depth == 12
+        for n in (400, 800, 1600):
+            K = CantelliConfig(mesh_n=n).cantor()
+            assert float(min(b - a for a, b in K.intervals)) < 2.0 / n
+
     def test_unresolvable_depth_rejected(self):
         with pytest.raises(PreconditionError, match="finest"):
             run_pipeline(CantelliConfig(mesh_n=400, cantor_depth=2))
