@@ -2,13 +2,15 @@
 
 Each criterion function returns a CriterionResult with a pass flag and a
 one-line detail string; run_all executes them in order against a shared
-cache of pipeline runs.  Tolerances are fixed here, not configurable.
+cache of pipeline runs and records each one's wall time.  Tolerances are
+fixed here, not configurable.
 """
 
 import itertools
 import math
+import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +31,9 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
+    # wall time in run_all; the criterion that first needs a cached
+    # pipeline run pays for building it
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -422,8 +427,10 @@ CRITERIA = (
 
 def run_all(seed=42, paths=1_000_000, meshes=(100, 200, 400),
             random_instances=100, gap_samples=10_000, sim_mesh=16,
-            enumeration_cells=7, printer=None):
-    """Run the whole suite; returns the list of CriterionResult."""
+            enumeration_cells=7, report=None):
+    """Run the whole suite; returns the list of CriterionResult, each with
+    its wall time in ``seconds``.  ``report``, if given, is called with
+    each result as soon as its criterion finishes."""
     ctx = AcceptanceContext(
         seed=seed, paths=paths, meshes=meshes,
         random_instances=random_instances, gap_samples=gap_samples,
@@ -431,8 +438,10 @@ def run_all(seed=42, paths=1_000_000, meshes=(100, 200, 400),
     )
     out = []
     for fn in CRITERIA:
+        t = time.perf_counter()
         result = fn(ctx)
+        result = replace(result, seconds=time.perf_counter() - t)
         out.append(result)
-        if printer is not None:
-            printer(result.line())
+        if report is not None:
+            report(result)
     return out

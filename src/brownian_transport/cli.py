@@ -187,6 +187,13 @@ def _cmd_solve(params):
     return 0 if gap <= 1e-8 else 1
 
 
+def _print_criterion(result):
+    # timings go to stderr, so standard output stays the same run to run
+    print(result.line())
+    print(f"criterion {result.number}: {result.seconds:.2f} s",
+          file=sys.stderr)
+
+
 def _cmd_verify(params):
     kwargs = {}
     if "seed" in params:
@@ -205,7 +212,7 @@ def _cmd_verify(params):
         kwargs["sim_mesh"] = int(params["sim_mesh"])
     if "cells" in params:
         kwargs["enumeration_cells"] = int(params["cells"])
-    results = acceptance.run_all(printer=print, **kwargs)
+    results = acceptance.run_all(report=_print_criterion, **kwargs)
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1

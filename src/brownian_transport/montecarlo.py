@@ -6,9 +6,17 @@ of a continuous stopping function), empirical measures carry the
 statistical distances, and the Hermite expansion check provides an
 independent necessary condition on the assembled counter-example.
 
-Randomness comes from a counter-based generator keyed by the seed; every
-step consumes one full row of variates per path index, so path i's
-trajectory is a pure function of (seed, i) regardless of scheduling.
+Randomness comes from a counter-based generator (Philox) keyed by the
+seed.  Start positions take one row of num_paths variates when they are
+sampled, and every walk step takes two more rows, survival uniforms and
+then coins, with word i of a row belonging to path i.  So path i's
+trajectory is a pure function of (seed, num_paths, i) regardless of
+scheduling; the row width makes num_paths part of the key.  The walk
+reads raw 64-bit words: the uniform of word w is (w >> 11) * 2^-53,
+exactly ``Generator.random``'s double, and the coin ``random() < 0.5``
+is the top bit of w being clear.  A step at which no cell freezes needs
+no survival uniform, so its row is skipped by advancing the counter
+instead of drawing it; the stream stays where drawing would leave it.
 """
 
 import math
@@ -117,40 +125,102 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
     a continuous nonnegative function (Euler mode, first crossing of the
     graph t = f(x) with linear-in-time detection).  Paths still running
     at max_time are counted; more than 0.1 percent of them fails the run.
+
+    In walk mode the start must lie on the solution's lattice (1/n)Z, and
+    each step t takes one row of num_paths raw words for the survival
+    uniforms, skipped without drawing when no cell freezes at t, and one
+    row for the +-1 coins; only paths still running are moved.
     """
     if isinstance(stopping, TransportSolution):
         return _simulate_lattice(start, stopping, cfg)
     return _simulate_continuum(start, stopping, cfg)
 
 
+def _skip_raw(bit_generator, k):
+    """Move a Philox stream past k raw words, as drawing them would.
+
+    ``Philox.advance`` counts blocks of four words and discards what is
+    left of the current block, so that rest is drawn first, then whole
+    blocks are advanced over and the last k mod 4 words drawn.
+    """
+    head = min((4 - bit_generator.state["buffer_pos"]) % 4, k)
+    bit_generator.random_raw(head)
+    blocks, tail = divmod(k - head, 4)
+    if blocks:
+        bit_generator.advance(blocks)
+    bit_generator.random_raw(tail)
+
+
+def _start_cells(start, x0, n):
+    """Lattice indices k of start positions k / n; others are refused."""
+    on_lattice = isinstance(start, LatticeMeasure)
+    k = (start.positions[start.masses > 0] if on_lattice else x0) * n
+    off = float(np.max(np.abs(k - np.rint(k)), initial=0.0)) / n
+    if off > 1e-9:
+        what = (f"start measure on mesh {start.mesh_n}" if on_lattice
+                else "start positions")
+        raise PreconditionError(
+            f"{what} off the mesh-{n} lattice (1/{n})Z of the solution by "
+            f"up to {off:.3g}; walk mode needs starts on that lattice"
+        )
+    return np.rint(x0 * n).astype(np.int64)
+
+
 def _simulate_lattice(start, sol: TransportSolution, cfg):
     rng = _rng(cfg.seed)
+    bits = rng.bit_generator
     n = sol.mesh_n
     num = cfg.num_paths
     if start is None:
         raise PreconditionError("lattice mode needs a start measure")
-    x0 = _start_positions(start, num, rng)
-    pos = np.rint(x0 * n).astype(np.int64) - sol.offset
-    if np.any(pos < 0) or np.any(pos >= sol.freeze_step.size):
-        raise PreconditionError("start mass outside the solved window")
+    pos = _start_cells(start, _start_positions(start, num, rng), n)
+    pos -= sol.offset
     g = sol.freeze_step
     q = sol.survival
+    if np.any(pos < 0) or np.any(pos >= g.size):
+        raise PreconditionError("start mass outside the solved window")
+    freeze_steps = set(g.tolist())
     max_steps = int(math.ceil(cfg.max_time * n * n))
-    alive = np.ones(num, dtype=bool)
     T = np.zeros(num, dtype=np.int64)
+    # live paths: ids and positions; pos keeps the stop positions
+    ids = np.arange(num)
+    p = pos.copy()
     for t in range(max_steps + 1):
-        if not alive.any():
+        if ids.size == 0:
             break
-        gx = g[pos]
-        u = rng.random(num)
-        stop = alive & ((t > gx) | ((t == gx) & (u >= q[pos])))
-        T[stop] = t
-        alive &= ~stop
-        coin = rng.random(num) < 0.5
-        stepv = np.where(coin, 1, -1)
-        pos = np.where(alive, pos + stepv, pos)
+        # paths on cells frozen before t stop; those on cells frozen at t
+        # stop with probability 1 - q and are the only survival-row readers
+        cand = np.flatnonzero((g <= t)[p])
+        pc = p[cand]
+        stop = g[pc] < t
+        if t in freeze_steps:
+            due = np.flatnonzero(~stop)
+            row = bits.random_raw(num)
+            u = (row[ids[cand[due]]] >> 11) * 2.0**-53
+            del row
+            stop[due] = u >= q[pc[due]]
+        else:
+            _skip_raw(bits, num)
+        out = cand[stop]
+        if out.size:
+            T[ids[out]] = t
+            pos[ids[out]] = p[out]
+            keep = np.ones(ids.size, dtype=bool)
+            keep[out] = False
+            ids = ids[keep]
+            p = p[keep]
+        step = bits.random_raw(num).view(np.int64)
+        if ids.size < num:  # else every path runs, in row order
+            step = step[ids]
+        step >>= 63  # 0 where random() < 0.5 (a step up), else -1
+        step |= 1
+        p += step
+    pos[ids] = p
+    alive = np.zeros(num, dtype=bool)
+    alive[ids] = True
     exceeded = _check_exceeded(alive, num)
-    x = (pos + sol.offset) / n
+    pos += sol.offset
+    x = pos / n
     times = T / float(n * n)
     return FirstIntersectionResult(
         empirical=EmpiricalMeasure(x[~alive] if exceeded else x, cfg.seed),

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -176,3 +177,17 @@ def test_verify_command_scaled_down(tmp_path, capsys):
     assert out.count("criterion") == 10
     assert "criteria passed" in out
     assert code in (0, 1)
+
+
+def test_verify_times_each_criterion_on_stderr(capsys):
+    main([
+        "verify", "seed=1", "paths=2000", "meshes=16,32", "instances=2",
+        "gap_samples=100", "sim_mesh=16", "cells=4",
+    ])
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        "".join(rf"criterion {k}: \d+\.\d\d s\n" for k in range(1, 11)),
+        captured.err,
+    )
+    assert all(line.startswith("[") for line in
+               captured.out.splitlines()[:-1])

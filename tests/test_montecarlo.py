@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from brownian_transport.solver import PiecewiseLinear, solve
 
 DELTA0 = LatticeMeasure(1, 0, np.array([1.0]))
 HALVES = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
+QUARTERS = LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
 
 
 def normal_cdf(x, var=1.0):
@@ -289,6 +291,52 @@ def test_empirical_measure_sorted_and_streamable(tmp_path):
     assert lines[0] == "sample" and len(lines) == 4
 
 
+@pytest.mark.parametrize("start", [
+    LatticeMeasure(2, -1, np.array([0.25, 0.5, 0.25])),
+    np.full(2001, 0.5),
+    0.25,
+    1.0 + 2e-9,
+])
+def test_lattice_start_off_the_solution_lattice_rejected(start):
+    # rounding such a start to the nearest cell would walk a law that
+    # was never asked for
+    sol = solve(DELTA0, HALVES)
+    with pytest.raises(PreconditionError, match="mesh-1 lattice") as err:
+        mc.simulate_first_intersection(
+            start, sol, mc.PathSimConfig(num_paths=2001, seed=3)
+        )
+    if isinstance(start, LatticeMeasure):
+        assert "mesh 2" in str(err.value)
+
+
+def test_lattice_start_on_a_coarser_mesh_accepted():
+    # a mesh-1 law lies on (1/2)Z, and its zero-mass cells do not matter
+    sol = solve(LatticeMeasure(2, 0, np.array([1.0])),
+                LatticeMeasure(2, -1, np.array([0.5, 0.0, 0.5])))
+    for start in (DELTA0, LatticeMeasure(2, -1, np.array([0.0, 1.0, 0.0])),
+                  np.full(5, 1e-12)):
+        r = mc.simulate_first_intersection(
+            start, sol, mc.PathSimConfig(num_paths=5, seed=0)
+        )
+        assert set(np.abs(r.positions)) == {0.5}
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 4, 7, 10**6])
+@pytest.mark.parametrize("drawn", range(8))
+def test_skipped_raw_words_equal_drawn_ones(drawn, k):
+    # skipping k words from any point in a Philox block must leave the
+    # stream where drawing them does
+    skipped = np.random.Philox(key=np.uint64(5))
+    plain = np.random.Philox(key=np.uint64(5))
+    skipped.random_raw(drawn)
+    plain.random_raw(drawn)
+    mc._skip_raw(skipped, k)
+    plain.random_raw(k)
+    assert np.array_equal(skipped.random_raw(9), plain.random_raw(9))
+    assert np.random.Generator(skipped).random() == (
+        np.random.Generator(plain).random())
+
+
 def test_lattice_simulation_reproducible_and_seed_sensitive():
     sol = solve(DELTA0, HALVES)
     cfg = mc.PathSimConfig(num_paths=2000, seed=9, max_time=5.0)
@@ -299,3 +347,45 @@ def test_lattice_simulation_reproducible_and_seed_sensitive():
         DELTA0, sol, mc.PathSimConfig(num_paths=2000, seed=10, max_time=5.0)
     )
     assert not np.array_equal(a.positions, c.positions)
+
+
+def _walk_digest(r):
+    h = hashlib.sha256()
+    h.update(r.positions.tobytes())
+    h.update(r.times.tobytes())
+    h.update(str(r.exceeded).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def mesh16_pipeline():
+    from brownian_transport.pipeline import CantelliConfig, run_pipeline
+
+    return run_pipeline(CantelliConfig(mesh_n=16))
+
+
+@pytest.mark.parametrize("case, num, seed, digest", [
+    # criterion 10's instance: start words drawn, rows of 10^4 words
+    ("mesh16", 10_000, 0, "87908b1c02f195ec"),
+    # 2 001 % 4 != 0: rows end inside a Philox block
+    ("mesh16", 2001, 1, "120b47210cb1293d"),
+    ("halves-lattice", 2001, 3, "034c886134cbcd99"),
+    ("halves-array", 2001, 3, "658ef40ae38c6346"),
+    # no cell freezes at t = 0, so its survival row is skipped
+    ("quarters-lattice", 2001, 3, "79ea1ff71cb9c5d7"),
+])
+def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
+    # positions, times and exceeded count of fixed walks, bit for bit
+    if case == "mesh16":
+        start, sol = mesh16_pipeline.mu0n, mesh16_pipeline.solution
+        max_time = 50.0
+    else:
+        target = QUARTERS if case.startswith("quarters") else HALVES
+        start = np.zeros(num) if case.endswith("array") else DELTA0
+        sol = solve(DELTA0, target)
+        max_time = 10.0
+    r = mc.simulate_first_intersection(
+        start, sol, mc.PathSimConfig(num_paths=num, seed=seed,
+                                     max_time=max_time)
+    )
+    assert _walk_digest(r) == digest
