@@ -60,6 +60,7 @@ from .solver import (
     extend_f,
     init_state,
     solve,
+    solve_batch,
 )
 
 __version__ = "0.1.0"
@@ -109,6 +110,7 @@ __all__ = [
     "simulate_counterexample_paths",
     "simulate_first_intersection",
     "solve",
+    "solve_batch",
     "triangle",
     "truncate_normalize",
     "uniform",

@@ -6,6 +6,7 @@ full-precision floats.  Exit codes: 0 all checks pass, 1 a check failed,
 2 configuration or precondition error.
 """
 
+import itertools
 import os
 import sys
 
@@ -168,11 +169,13 @@ def _cmd_solve(params):
             def write_rows(state):
                 if float(state.live.sum()) <= LIVE_TOL:
                     return  # the terminating state takes no step
-                for k in range(state.live.size):
-                    log.write(f"{state.t},{state.offset + k},"
-                              f"{_fmt(float(state.live[k]))},"
-                              f"{_fmt(float(state.phi[k]))},"
-                              f"{int(state.absorbing[k])}\n")
+                # one format over the step's rows: t, cell, nu, phi, flag
+                w = state.live.size
+                rows = zip(range(state.offset, state.offset + w),
+                           state.live.tolist(), state.phi.tolist(),
+                           state.absorbing.tolist())
+                log.write((f"{state.t},%d,%.17g,%.17g,%d\n" * w)
+                          % tuple(itertools.chain.from_iterable(rows)))
 
             sol = solve(mu0, mu1, max_steps=max_steps, observe=write_rows)
     else:

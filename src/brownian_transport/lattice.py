@@ -177,7 +177,7 @@ def phi_lattice(m, k):
     k = np.asarray(k)
     cum0 = np.concatenate([[0.0], np.cumsum(m.masses)])
     cum1 = np.concatenate([[0.0], np.cumsum(m.cells * m.masses)])
-    idx = np.clip(k - m.offset, 0, m.masses.size)
+    idx = np.minimum(np.maximum(k - m.offset, 0), m.masses.size)
     below = cum0[idx]
     below_first = cum1[idx]
     out = (k * below - below_first) / m.mesh_n

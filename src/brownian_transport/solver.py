@@ -21,9 +21,18 @@ cost profile decreases by d/2.  Mass reaching an absorbing cell stops
 there at its arrival step.  The procedure terminates with the frozen
 mass equal to the target measure.
 
-`solve` is the only run loop.  It updates one `SolverState` in place and
-hands it to an optional ``observe`` callback at the top of every
-iteration; `InvariantCheck`, the live history of the acceptance suite,
+A `SolverState` holds one instance, with arrays of shape (cells,), or a
+batch of instances of equal window width, with arrays of shape
+(rows, cells).  Rows may differ in mesh and offset, since the step works
+in integer lattice units.  `_advance` is the one stepping kernel; it acts
+along the last axis, so one instance is the one-row case.  `_run` is the
+one run loop: `solve` runs it on one instance and `solve_batch` on a
+stack of `init_state` results.  A row leaves the batch at the step at
+which its live mass falls to LIVE_TOL, because stepping it further would
+move its residual (about 1e-13) into `stopped`; so every row of a batch
+ends bit-identical to `solve` on its instance.  The loop hands the state
+to an optional ``observe`` callback at the top of every iteration;
+`InvariantCheck`, the live history of the acceptance suite,
 `component_collapse_diagnostic` and the CLI step log are such observers.
 """
 
@@ -39,17 +48,22 @@ PHI_CLAMP = -1e-12  # round-off absorbed silently
 PHI_ABORT = -1e-9  # beyond this the run is inconsistent
 LIVE_TOL = 1e-12
 
+_ARRAYS = ("live", "stopped", "phi", "freeze_step", "survival", "target")
+
 
 @dataclass
 class SolverState:
-    """The transport iteration at step t.
+    """The transport iteration at step t, for one instance or a batch.
 
-    `solve` updates the arrays in place, so an observer that keeps one
-    beyond the current step must copy it.
+    The arrays have shape (cells,) for one instance and (rows, cells) for
+    a batch, whose `mesh_n`, `offset` and `rows` hold one entry per row.
+    The run loop updates the arrays in place and, when rows of a batch
+    finish, replaces them by the remaining rows, so an observer that
+    keeps an array beyond the current step must copy it.
     """
 
-    mesh_n: int
-    offset: int  # absolute cell index of the window's left edge
+    mesh_n: int | np.ndarray
+    offset: int | np.ndarray  # absolute cell index of the window's left edge
     t: int
     live: np.ndarray  # not-yet-stopped mass, zero at absorbing cells
     stopped: np.ndarray  # accumulated frozen mass
@@ -57,18 +71,63 @@ class SolverState:
     freeze_step: np.ndarray  # int, -1 while a cell has not frozen
     survival: np.ndarray  # fraction diffusing at the freeze step, NaN before
     target: np.ndarray  # target masses on the window
+    rows: np.ndarray | None = None  # batch index of each row, increasing
     absorbing: np.ndarray = field(init=False)  # freeze_step >= 0
-    # per-step work buffers of the kernel
-    _diffused: np.ndarray = field(init=False, repr=False)
-    _half: np.ndarray = field(init=False, repr=False)
+    # work buffers of the kernel, set up by the run loop: the diffused
+    # mass and a view of its edge cells, the halves, and the per-row sums
+    # of live, stopped, diffused, stopping and landing mass, written
+    # through views shaped like the arrays' leading axes
+    _diffused: np.ndarray = field(init=False, repr=False, default=None)
+    _half: np.ndarray = field(init=False, repr=False, default=None)
+    _edges: np.ndarray = field(init=False, repr=False, default=None)
+    _sums: np.ndarray = field(init=False, repr=False, default=None)
+    _sum_out: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.absorbing = self.freeze_step >= 0
+
+    def _buffers(self):
+        lead, w = self.live.shape[:-1], self.live.shape[-1]
         self._diffused = np.empty_like(self.live)
         self._half = np.empty_like(self.live)
+        self._edges = self._diffused[..., ::max(w - 1, 1)]
+        self._sums = np.zeros((5, math.prod(lead)))
+        self._sum_out = [s.reshape(lead) for s in self._sums]
 
-    def total_mass(self):
-        return float(self.live.sum() + self.stopped.sum())
+    @classmethod
+    def stack(cls, states):
+        """One batch from one-instance states of equal window width at the
+        same step; the given states are left as they are."""
+        if not states or any(
+            s.rows is not None or s.live.shape != states[0].live.shape
+            or s.t != states[0].t for s in states
+        ):
+            raise PreconditionError(
+                "a batch stacks one or more one-instance states of equal "
+                "window width at the same step"
+            )
+        stacked = {name: np.stack([getattr(s, name) for s in states])
+                   for name in _ARRAYS}
+        return cls(
+            mesh_n=np.array([s.mesh_n for s in states]),
+            offset=np.array([s.offset for s in states]),
+            t=states[0].t,
+            rows=np.arange(len(states)),
+            **stacked,
+        )
+
+    def _keep(self, keep):
+        """Drop the rows of a batch where the mask `keep` is false."""
+        for name in _ARRAYS + ("absorbing", "mesh_n", "offset", "rows"):
+            setattr(self, name, getattr(self, name)[keep])
+        self._buffers()
+
+    def _name(self, i):
+        """Words naming row i in an error: empty for one instance."""
+        if self.rows is None:
+            return ""
+        return (f" (instance {self.rows[i]} of the batch: mesh "
+                f"{self.mesh_n[i]}, window from cell {self.offset[i]})")
 
 
 def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
@@ -105,8 +164,10 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
             )
 
     lo, hi = min(lo0, lo1), max(hi0, hi1)
-    cells, phi = phi_cells(mu0n.trimmed(), mu1n.trimmed())
-    full = np.zeros(hi - lo + 1)
+    mu0t, mu1t = mu0n.trimmed(), mu1n.trimmed()
+    cells, phi = phi_cells(mu0t, mu1t)
+    w = hi - lo + 1
+    full = np.zeros(w)
     full[cells - lo] = phi
     # both window edges carry cost n * (mean gap), zero for exactly matched
     # inputs; values inside the mean tolerance are forced to zero so the
@@ -127,9 +188,10 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
         )
     full = np.maximum(full, 0.0)
 
-    live = mu0n.trimmed().with_window(lo, hi).masses.copy()
-    target = mu1n.trimmed().with_window(lo, hi).masses.copy()
-    w = hi - lo + 1
+    live = np.zeros(w)
+    live[lo0 - lo : hi0 - lo + 1] = mu0t.masses
+    target = np.zeros(w)
+    target[lo1 - lo : hi1 - lo + 1] = mu1t.masses
     return SolverState(
         mesh_n=mu0n.mesh_n,
         offset=lo,
@@ -144,12 +206,15 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
 
 
 def _advance(state: SolverState):
-    """One freeze/diffuse update of the state's arrays, in place.
+    """One freeze/diffuse update of the state's arrays, in place, along
+    the last axis.
 
-    Returns (diffused mass, mass stopped at t, mass landing on absorbing
-    cells, which stops at t + 1).
+    Leaves in ``state._sums`` the per-row sums of the live and stopped
+    mass after the step, of the diffused mass, of the mass stopped at t
+    and of the mass landing on absorbing cells, which stops at t + 1.
     """
     live, phi, d, half = state.live, state.phi, state._diffused, state._half
+    live_sum, stopped_sum, diffused, stopped_now, landed = state._sum_out
     t = state.t
 
     np.multiply(phi, 2.0, out=d)
@@ -160,79 +225,98 @@ def _advance(state: SolverState):
         state.freeze_step[newly] = t
         state.survival[newly] = d[newly] / live[newly]
         state.absorbing |= newly
-    if d[0] != 0.0 or d[-1] != 0.0:
+    if np.count_nonzero(state._edges):
+        i = int(np.flatnonzero(state._edges.any(axis=-1))[0])
         raise ConsistencyError(
-            f"mass diffusing out of the window at step {t}"
+            f"mass diffusing out of the window at step {t}{state._name(i)}"
         )
 
     np.subtract(live, d, out=live)  # the mass stopping at t
     state.stopped += live
-    stopped_now = float(live.sum())
+    np.add.reduce(live, -1, out=stopped_now)
 
     np.multiply(d, 0.5, out=half)
     phi -= half
     if phi.min() < PHI_ABORT:
-        k = int(np.argmin(phi))
+        j = int(np.argmin(phi))
+        i, k = divmod(j, phi.shape[-1])
+        cell = int(np.reshape(state.offset, -1)[i]) + k
         raise ConsistencyError(
-            f"cost went negative ({phi[k]:.3e}) at cell "
-            f"{state.offset + k}, step {t}"
+            f"cost went negative ({phi.flat[j]:.3e}) at cell {cell}, "
+            f"step {t}{state._name(i)}"
         )
 
     # live becomes the arrivals; those on absorbing cells stop at t + 1
-    live[:-1] = half[1:]
-    live[-1] = 0.0
-    live[1:] += half[:-1]
+    live[..., :-1] = half[..., 1:]
+    live[..., -1] = 0.0
+    live[..., 1:] += half[..., :-1]
     np.multiply(live, state.absorbing, out=half)
     state.stopped += half
     live -= half
+    np.add.reduce(d, -1, out=diffused)
+    np.add.reduce(half, -1, out=landed)
+    np.add.reduce(live, -1, out=live_sum)
+    np.add.reduce(state.stopped, -1, out=stopped_sum)
     state.t = t + 1
-    return float(d.sum()), stopped_now, float(half.sum())
 
 
 def _coincidence_violation(state: SolverState, tol=1e-10):
-    """Discrete coincidence check between zero-cost cells.
+    """Discrete coincidence check between zero-cost cells, per row.
 
     For zero cells x < y, with A the occupation (live + stopped) and M the
     target, the interval masses must interlace:
     M[x,y] >= A[x,y] >= A[x+1,y-1] >= M[x+1,y-1].
+    Returns (row, message) for the first violation, or None.
     """
-    z = np.nonzero(state.phi <= 0.0)[0]
-    if z.size < 2:
-        return None
-    occ = state.live + state.stopped
-    # D[j] = sum over cells i < j of (target - occupation)
-    D = np.concatenate([[0.0], np.cumsum(state.target - occ)])
-    at_x = D[z]  # D[x] per zero cell
-    past_y = D[z + 1]  # D[y+1] per zero cell
-    # M[x,y] >= A[x,y]  <=>  D[y+1] >= D[x] for all zero pairs x < y
-    run_max = np.maximum.accumulate(at_x)
-    if np.any(past_y[1:] < run_max[:-1] - tol):
-        return "outer interval mass order violated"
+    zero = state.phi <= 0.0
+    # D[..., j] = sum over cells i < j of (target - occupation)
+    D = np.zeros(zero.shape[:-1] + (zero.shape[-1] + 1,))
+    np.cumsum(state.target - (state.live + state.stopped), axis=-1,
+              out=D[..., 1:])
+    at_x, past_y = D[..., :-1], D[..., 1:]  # D[x] and D[x + 1] per cell
+    # M[x,y] >= A[x,y]  <=>  D[y+1] >= D[x] for all zero pairs x < y;
+    # other cells are masked out of the running extremes by -inf / +inf
+    run_max = np.maximum.accumulate(np.where(zero, at_x, -np.inf), axis=-1)
+    outer = zero[..., 1:] & (past_y[..., 1:] < run_max[..., :-1] - tol)
     # A[x+1,y-1] >= M[x+1,y-1]  <=>  D[y] <= D[x+1]
-    run_min = np.minimum.accumulate(past_y)
-    if np.any(at_x[1:] > run_min[:-1] + tol):
-        return "inner interval mass order violated"
+    run_min = np.minimum.accumulate(np.where(zero, past_y, np.inf), axis=-1)
+    inner = zero[..., 1:] & (at_x[..., 1:] > run_min[..., :-1] + tol)
+    for bad, msg in ((outer, "outer interval mass order violated"),
+                     (inner, "inner interval mass order violated")):
+        rows = np.flatnonzero(bad.any(axis=-1))
+        if rows.size:
+            return int(rows[0]), msg
     return None
 
 
 class InvariantCheck:
-    """Observer for `solve` that asserts, at every step, the discrete
-    coincidence invariant and that no cell's cost increases."""
+    """Observer for the run loop that asserts, at every step and in every
+    row, the discrete coincidence invariant and that no cell's cost
+    increases."""
 
     def __init__(self):
         self.prev_phi = None
+        self.prev_rows = None
 
     def __call__(self, state: SolverState):
-        msg = _coincidence_violation(state)
-        if msg is not None:
+        bad = _coincidence_violation(state)
+        if bad is not None:
+            i, msg = bad
             raise ConsistencyError(
-                f"coincidence invariant failed at step {state.t}: {msg}"
+                f"coincidence invariant failed at step {state.t}: "
+                f"{msg}{state._name(i)}"
             )
-        if self.prev_phi is not None and np.any(
-            state.phi > self.prev_phi + 1e-15
-        ):
-            raise ConsistencyError("cost increased across a step")
+        prev = self.prev_phi
+        if prev is not None:
+            if prev.shape != state.phi.shape:  # rows have left the batch
+                prev = prev[np.isin(self.prev_rows, state.rows)]
+            up = np.flatnonzero((state.phi > prev + 1e-15).any(axis=-1))
+            if up.size:
+                raise ConsistencyError(
+                    f"cost increased across a step{state._name(int(up[0]))}"
+                )
         self.prev_phi = state.phi.copy()
+        self.prev_rows = state.rows
 
 
 @dataclass(frozen=True)
@@ -269,6 +353,112 @@ class TransportSolution:
                 fh.write(f"{x:.17g},{g:.17g},{q:.17g}\n")
 
 
+def _run(state: SolverState, max_steps, observe) -> list:
+    """The run loop: step `state` until every row's live mass is at most
+    LIVE_TOL, and return one TransportSolution per row, in row order.
+
+    Every check holds per row: the mass drift stays within 1e-12, the
+    cost has vanished when the live mass runs out, the row terminates
+    within its step budget (``max_steps``, or by default
+    50 n^2 max(W, 1)^2 for a window W wide in physical units), and its
+    frozen mass ends within 1e-9 of the target.  A row leaves the state
+    at the step at which its live mass falls to LIVE_TOL.
+    """
+    state._buffers()
+    width = state.live.shape[-1] - 1
+    meshes = np.reshape(state.mesh_n, -1).tolist()
+    offsets = np.reshape(state.offset, -1).tolist()
+    budget = [
+        int(50 * n**2 * max(width / n, 1.0) ** 2) if max_steps is None
+        else max_steps for n in meshes
+    ]
+    np.add.reduce(state.live, -1, out=state._sum_out[0])
+    np.add.reduce(state.stopped, -1, out=state._sum_out[1])
+    live_sum, stopped_sum = state._sums[:2].tolist()
+    total0 = [a + b for a, b in zip(live_sum, stopped_sum)]
+    drift_tol = [1e-12 * max(1.0, m) for m in total0]
+    moves = [[] for _ in meshes]  # diffused mass per step, per row
+    last_stop = [0] * len(meshes)
+    solutions = [None] * len(meshes)
+    ids = list(range(len(meshes)))  # the batch index of each current row
+    limit = min(budget)
+
+    while True:
+        if state.t > limit:
+            i = next(i for i, k in enumerate(ids) if state.t > budget[k])
+            phi_max = float(state.phi.reshape(len(ids), -1)[i].max())
+            raise NonTerminationError(
+                f"no termination in {budget[ids[i]]} steps; live mass "
+                f"{live_sum[i]:.3e}, max cost {phi_max:.3e}{state._name(i)}"
+            )
+        if observe is not None:
+            observe(state)
+        done = [i for i, s in enumerate(live_sum) if s <= LIVE_TOL]
+        if done:
+            for i in done:
+                k = ids[i]
+                solutions[k] = _solution(
+                    state, i, meshes[k], offsets[k], moves[k], last_stop[k]
+                )
+            if len(done) == len(ids):
+                return solutions
+            keep = np.ones(len(ids), dtype=bool)
+            keep[done] = False
+            state._keep(keep)
+            ids = state.rows.tolist()
+            limit = min(budget[k] for k in ids)
+        t = state.t
+        _advance(state)
+        live_sum, stopped_sum, diffused, stopped_now, landed = \
+            state._sums.tolist()
+        for i, k in enumerate(ids):
+            if abs(live_sum[i] + stopped_sum[i] - total0[k]) > drift_tol[k]:
+                raise ConsistencyError(
+                    f"mass drift beyond 1e-12 at step {t}{state._name(i)}"
+                )
+            moves[k].append(diffused[i])
+            # decided stops carry time t, landings on absorbing cells t + 1
+            if landed[i] > 0.0:
+                last_stop[k] = t + 1
+            elif stopped_now[i] > 0.0:
+                last_stop[k] = t
+
+
+def _solution(state, i, mesh_n, offset, moves, last_stop):
+    """The solution of row i, whose live mass has run out."""
+    w = state.live.shape[-1]
+    phi, stopped, target, freeze_step, survival = (
+        a.reshape(-1, w)[i] for a in (state.phi, state.stopped, state.target,
+                                      state.freeze_step, state.survival)
+    )
+    phi_max = float(phi.max())
+    if phi_max > 1e-9:
+        raise ConsistencyError(
+            f"live mass exhausted at step {state.t} with residual cost "
+            f"{phi_max:.3e}{state._name(i)}"
+        )
+    worst = float(np.abs(stopped - target).max())
+    if worst > 1e-9:
+        raise ConsistencyError(
+            f"frozen mass differs from the target by {worst:.3e}"
+            f"{state._name(i)}"
+        )
+    never = freeze_step < 0  # cells no mass ever visited
+    freeze_step[never] = 0
+    survival[never] = 0.0
+    n2 = float(mesh_n**2)
+    return TransportSolution(
+        mesh_n=mesh_n,
+        offset=offset,
+        freeze_step=freeze_step,
+        survival=survival,
+        stopped=LatticeMeasure(mesh_n, offset, stopped),
+        expected_time=math.fsum(moves) / n2,
+        max_time=last_stop / n2,
+        steps=state.t,
+    )
+
+
 def solve(
     mu0n: LatticeMeasure,
     mu1n: LatticeMeasure,
@@ -284,67 +474,19 @@ def solve(
     iteration, the terminating one included; it must not modify the
     state, whose arrays change in place after it returns.
     """
-    state = init_state(mu0n, mu1n)
-    if max_steps is None:
-        width = (state.live.size - 1) / state.mesh_n
-        max_steps = int(50 * state.mesh_n**2 * max(width, 1.0) ** 2)
+    return _run(init_state(mu0n, mu1n), max_steps, observe)[0]
 
-    total0 = state.total_mass()
-    moves = []
-    last_stop = 0
 
-    while state.t <= max_steps:
-        if observe is not None:
-            observe(state)
-        if float(state.live.sum()) <= LIVE_TOL:
-            phi_max = float(state.phi.max())
-            if phi_max <= 1e-9:
-                break
-            raise ConsistencyError(
-                f"live mass exhausted at step {state.t} with residual cost "
-                f"{phi_max:.3e}"
-            )
-        t = state.t
-        diffused_sum, stopped_now, landed = _advance(state)
-        if abs(state.total_mass() - total0) > 1e-12 * max(1.0, total0):
-            raise ConsistencyError(f"mass drift beyond 1e-12 at step {t}")
-        moves.append(diffused_sum)
-        # decided stops carry time t, landings on absorbing cells t + 1
-        if landed > 0.0:
-            last_stop = t + 1
-        elif stopped_now > 0.0:
-            last_stop = t
-    else:
-        raise NonTerminationError(
-            f"no termination in {max_steps} steps; live mass "
-            f"{float(state.live.sum()):.3e}, max cost "
-            f"{float(state.phi.max()):.3e}"
-        )
+def solve_batch(states, max_steps=None, observe=None) -> list:
+    """Solve `init_state` results of equal window width as one batch.
 
-    residual = state.stopped - state.target
-    worst = float(np.abs(residual).max())
-    if worst > 1e-9:
-        raise ConsistencyError(
-            f"frozen mass differs from the target by {worst:.3e}"
-        )
-
-    n2 = float(state.mesh_n**2)
-    freeze_step = state.freeze_step
-    survival = state.survival
-    never = freeze_step < 0  # cells no mass ever visited
-    freeze_step[never] = 0
-    survival[never] = 0.0
-
-    return TransportSolution(
-        mesh_n=state.mesh_n,
-        offset=state.offset,
-        freeze_step=freeze_step,
-        survival=survival,
-        stopped=LatticeMeasure(state.mesh_n, state.offset, state.stopped),
-        expected_time=math.fsum(moves) / n2,
-        max_time=last_stop / n2,
-        steps=state.t,
-    )
+    Returns their solutions in the given order, each bit-identical to
+    `solve` on its instance; the given states are left as they are.
+    ``max_steps`` and ``observe`` act as in `solve`, per row, and the
+    observer sees the batch state, whose ``rows`` name the instances
+    still running.  An error names the instance of the failing row.
+    """
+    return _run(SolverState.stack(states), max_steps, observe)
 
 
 def component_collapse_diagnostic(mu0n: LatticeMeasure, mu1n: LatticeMeasure,

@@ -11,6 +11,9 @@ about 9e-4 that the window sets, while its mesh part halves per mesh
 doubling.
 """
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -155,3 +158,31 @@ def test_criterion_9_residual_trend(suite):
 
 def test_criterion_10_simulation_matches_law(suite):
     _assert_criterion(suite[1], 10)
+
+
+def test_criterion_1_batches_keep_the_reference_digest():
+    # sha256 of each solve's freeze_step (<i8), survival and stopped
+    # masses (<f8), cut to 16 hex digits, joined in enumeration order and
+    # hashed again: the `criterion_1 cells=4` digest, taken with one
+    # `solve` per instance before criterion 1 ran as width batches
+    pairs = acceptance.enumerate_instances(4)
+    digests = [None] * len(pairs)
+    for k, _, _, sol, _ in acceptance.solve_by_width(pairs):
+        h = hashlib.sha256()
+        for arr, dtype in ((sol.freeze_step, "<i8"), (sol.survival, "<f8"),
+                           (sol.stopped.masses, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        digests[k] = h.hexdigest()[:16]
+    assert len(digests) == 227
+    joined = hashlib.sha256("".join(digests).encode()).hexdigest()[:16]
+    assert joined == "fbbc1ead997f6a7b"
+
+
+def test_criterion_7_prints_every_cauchy_factor():
+    ctx = acceptance.AcceptanceContext(seed=1, paths=4000,
+                                       meshes=(16, 32, 64, 128))
+    r = acceptance.criterion_7(ctx)
+    assert "nan" not in r.details
+    for label in ("Cauchy factors", "interior |x| <= R-1 factors"):
+        factors = re.search(re.escape(label) + r" \[([^\]]*)\]", r.details)
+        assert len(factors.group(1).split(",")) == 2, r.details

@@ -79,6 +79,34 @@ def test_solve_roundtrip(tmp_path):
     assert (out / "stopped.csv").exists()
 
 
+def test_steplog_rows_match_per_cell_formatting(tmp_path):
+    # reference: the row of every cell of every stepping state, formatted
+    # one value at a time
+    mu0 = LatticeMeasure(1, 0, np.array([1.0]))
+    mu1 = LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
+    mu0.to_csv(tmp_path / "mu0.csv")
+    mu1.to_csv(tmp_path / "mu1.csv")
+    expected = ["t,cell,nu,phi,frozen_flag\n"]
+
+    def rows(state):
+        if float(state.live.sum()) <= 1e-12:
+            return
+        for k in range(state.live.size):
+            expected.append(
+                f"{state.t},{state.offset + k},{float(state.live[k]):.17g},"
+                f"{float(state.phi[k]):.17g},{int(state.absorbing[k])}\n"
+            )
+
+    solve(mu0, mu1, observe=rows)
+    out = tmp_path / "sol"
+    assert main([
+        "solve", f"mu0={tmp_path / 'mu0.csv'}", f"mu1={tmp_path / 'mu1.csv'}",
+        f"out_dir={out}", "verbose=2",
+    ]) == 0
+    assert (out / "steplog.csv").read_text() == "".join(expected)
+    assert len(expected) == 1 + 3 * 5
+
+
 def test_steplog_covers_runs_beyond_ten_thousand_steps(tmp_path):
     # point mass to the two edges of a 51-cell window: 14 111 steps, one
     # block of rows per step up to termination
@@ -177,6 +205,20 @@ def test_verify_command_scaled_down(tmp_path, capsys):
     assert out.count("criterion") == 10
     assert "criteria passed" in out
     assert code in (0, 1)
+
+
+def test_verify_two_meshes_fail_the_cauchy_clause(capsys):
+    # a Cauchy factor compares two mesh gaps, so two meshes cannot pass it
+    code = main([
+        "verify", "seed=1", "paths=4000", "meshes=32,64", "instances=5",
+        "gap_samples=200", "sim_mesh=16", "cells=5",
+    ])
+    line = next(s for s in capsys.readouterr().out.splitlines()
+                if "criterion 7:" in s)
+    assert line.startswith("[FAIL]")
+    assert "needs three or more meshes, got 2" in line
+    assert "nan" not in line
+    assert code == 1
 
 
 def test_verify_times_each_criterion_on_stderr(capsys):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from brownian_transport.bruteforce import exhaustive_transport
+from brownian_transport.acceptance import enumerate_instances
 from brownian_transport.errors import (
+    ConsistencyError,
     NonTerminationError,
     PreconditionError,
 )
@@ -13,16 +15,20 @@ from brownian_transport.lattice import LatticeMeasure
 from brownian_transport.solver import (
     InvariantCheck,
     PiecewiseLinear,
+    SolverState,
+    _coincidence_violation,
     component_collapse_diagnostic,
     extend_f,
     init_state,
     solve,
+    solve_batch,
 )
 
 DELTA0 = LatticeMeasure(1, 0, np.array([1.0]))
 HALVES = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
 QUARTERS = LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
 POSITIVE = LatticeMeasure(1, -1, np.array([0.25, 0.5, 0.25]))
+UNIFORM5 = LatticeMeasure(1, -2, np.full(5, 0.2))
 
 
 class Snapshots:
@@ -204,6 +210,154 @@ class TestSolve:
                     assert s.phi[k] == 0.0
                 if s.t > g:
                     assert s.live[k] == 0.0
+
+
+def assert_same_solution(a, b):
+    assert (a.mesh_n, a.offset, a.steps) == (b.mesh_n, b.offset, b.steps)
+    assert np.array_equal(a.freeze_step, b.freeze_step)
+    assert np.array_equal(a.survival, b.survival)
+    assert np.array_equal(a.stopped.masses, b.stopped.masses)
+    assert a.expected_time == b.expected_time
+    assert a.max_time == b.max_time
+
+
+def eighths(v):
+    return LatticeMeasure(1, 0, np.array(v, dtype=float) / 8.0)
+
+
+class TestBatch:
+    def test_criterion_1_instances_match_solve(self):
+        pairs = [(eighths(v0), eighths(v1))
+                 for v0, v1 in enumerate_instances(4)]
+        assert len(pairs) == 227
+        states = [init_state(m0, m1) for m0, m1 in pairs]
+        widths = sorted({st.live.size for st in states})
+        assert widths[0] == 1
+        for w in widths:
+            group = [k for k, st in enumerate(states) if st.live.size == w]
+            batch = solve_batch([states[k] for k in group])
+            for k, sol in zip(group, batch):
+                assert_same_solution(sol, solve(*pairs[k]))
+        # the batch steps copies: the given states stay at step 0
+        assert all(st.t == 0 and np.all(st.stopped == 0.0) for st in states)
+
+    def test_mixed_meshes_and_an_early_finisher(self):
+        # equal window width 5 at meshes 1, 1, 3 and 2: the uniform
+        # identity leaves the batch after one step, the last row after 80
+        pairs = [
+            (DELTA0, QUARTERS),
+            (UNIFORM5, UNIFORM5),
+            (LatticeMeasure(3, 0, np.array([1.0])),
+             LatticeMeasure(3, -2, QUARTERS.masses)),
+            (LatticeMeasure(2, 0, np.array([1.0])),
+             LatticeMeasure(2, -2, np.array([0.5, 0.0, 0.0, 0.0, 0.5]))),
+        ]
+        seen = []
+        batch = solve_batch([init_state(*p) for p in pairs],
+                            observe=lambda st: seen.append(st.rows.tolist()))
+        singles = [solve(*p) for p in pairs]
+        for a, b in zip(batch, singles):
+            assert_same_solution(a, b)
+        assert [s.steps for s in singles] == [3, 1, 4, 80]
+        assert [s.mesh_n for s in batch] == [1, 1, 3, 2]
+        assert seen[:6] == [
+            [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 2, 3], [2, 3], [3],
+        ]
+        assert len(seen) == 81
+
+    def test_exhausted_budget_names_the_instance(self):
+        slow = LatticeMeasure(1, -1, np.array([0.25, 0.5, 0.25]))
+        states = [init_state(POSITIVE, POSITIVE), init_state(DELTA0, slow)]
+        assert solve(DELTA0, slow).steps == 2
+        with pytest.raises(NonTerminationError,
+                           match="in 1 steps.*instance 1 of the batch"):
+            solve_batch(states, max_steps=1)
+
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(PreconditionError, match="equal window width"):
+            solve_batch([init_state(DELTA0, HALVES),
+                         init_state(DELTA0, QUARTERS)])
+
+
+def violating_state():
+    """Zero-cost cells 0 and 2 whose target interval holds less mass than
+    the occupation: the outer interval order fails."""
+    live = np.array([0.0, 1.0, 0.0])
+    return SolverState(
+        mesh_n=1, offset=-1, t=0, live=live, stopped=np.zeros(3),
+        phi=np.array([0.0, 0.5, 0.0]), freeze_step=np.full(3, -1),
+        survival=np.full(3, np.nan), target=np.full(3, 0.25),
+    )
+
+
+class TestInvariantCheckRows:
+    def test_flags_a_violation_on_one_instance(self):
+        with pytest.raises(ConsistencyError, match="outer interval"):
+            InvariantCheck()(violating_state())
+
+    def test_flags_the_violating_row_of_a_batch(self):
+        good = init_state(DELTA0, HALVES)
+        batch = SolverState.stack([good, violating_state(), good])
+        with pytest.raises(ConsistencyError,
+                           match="outer interval.*instance 1 of the batch"):
+            InvariantCheck()(batch)
+        InvariantCheck()(SolverState.stack([good, good]))
+
+    def test_cost_increase_in_a_compacted_batch(self):
+        check = InvariantCheck()
+        batch = SolverState.stack([init_state(DELTA0, HALVES)] * 3)
+        check(batch)
+        batch._keep(np.array([True, False, True]))
+        batch.phi[1, 1] += 0.25  # the row of instance 2
+        with pytest.raises(ConsistencyError,
+                           match="cost increased.*instance 2 of the batch"):
+            check(batch)
+
+
+    def test_rows_match_the_cell_by_cell_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            w, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            states = []
+            for _ in range(n):
+                live, stopped = rng.random(w), rng.random(w)
+                target = (live + stopped if rng.random() < 0.3
+                          else rng.random(w) * 2.0)
+                phi = np.where(rng.random(w) < 0.6, 0.0, rng.random(w))
+                states.append(SolverState(
+                    mesh_n=1, offset=0, t=0, live=live, stopped=stopped,
+                    phi=phi, freeze_step=np.full(w, -1),
+                    survival=np.full(w, np.nan), target=target,
+                ))
+            verdicts = [coincidence_reference(st) for st in states]
+            for st, verdict in zip(states, verdicts):
+                got = _coincidence_violation(st)
+                assert (got and got[1].split()[0]) == verdict
+            batch = _coincidence_violation(SolverState.stack(states))
+            for kind in ("outer", "inner"):
+                if kind in verdicts:
+                    assert batch[0] == verdicts.index(kind)
+                    assert batch[1].startswith(kind)
+                    break
+            else:
+                assert batch is None
+
+
+def coincidence_reference(state, tol=1e-10):
+    """The coincidence check of one instance, pair by pair of zero-cost
+    cells, as a reference for the row-vectorised check."""
+    z = np.nonzero(state.phi <= 0.0)[0]
+    D = np.concatenate([[0.0], np.cumsum(state.target
+                                         - (state.live + state.stopped))])
+    for i, x in enumerate(z):
+        for y in z[i + 1:]:
+            if D[y + 1] < D[x] - tol:
+                return "outer"
+    for i, x in enumerate(z):
+        for y in z[i + 1:]:
+            if D[y] > D[x + 1] + tol:
+                return "inner"
+    return None
 
 
 class TestExtendF:
