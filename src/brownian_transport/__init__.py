@@ -15,14 +15,10 @@ from .errors import (
 from .lattice import LatticeMeasure, discretize, phi_lattice
 from .measures import (
     CantorSet,
-    CostFunction,
     DensityMeasure,
-    FeasibilityReport,
     GapConstants,
     build_cantor,
     cantor_gap_constants,
-    cost,
-    feasibility_check,
     from_pieces,
     gamma_center,
     gaussian,
@@ -37,9 +33,7 @@ from .montecarlo import (
     hermite_check,
     ks_distance,
     ks_distance_lattice,
-    levy_distance,
     simulate_counterexample,
-    simulate_counterexample_paths,
     simulate_first_intersection,
 )
 from .pipeline import (
@@ -56,7 +50,6 @@ from .solver import (
     PiecewiseLinear,
     SolverState,
     TransportSolution,
-    component_collapse_diagnostic,
     extend_f,
     init_state,
     solve,
@@ -71,10 +64,8 @@ __all__ = [
     "CantelliResult",
     "CantorSet",
     "ConsistencyError",
-    "CostFunction",
     "DensityMeasure",
     "EmpiricalMeasure",
-    "FeasibilityReport",
     "GapConstants",
     "InvariantCheck",
     "LatticeMeasure",
@@ -88,14 +79,11 @@ __all__ = [
     "build_cantor",
     "build_problem",
     "cantor_gap_constants",
-    "component_collapse_diagnostic",
-    "cost",
     "crossing_radius",
     "discretize",
     "expected_time_check",
     "extend_f",
     "f1_asymptotics_report",
-    "feasibility_check",
     "from_pieces",
     "gamma_center",
     "gaussian",
@@ -103,11 +91,9 @@ __all__ = [
     "init_state",
     "ks_distance",
     "ks_distance_lattice",
-    "levy_distance",
     "phi_lattice",
     "run_pipeline",
     "simulate_counterexample",
-    "simulate_counterexample_paths",
     "simulate_first_intersection",
     "solve",
     "solve_batch",

@@ -59,10 +59,15 @@ def _parse_args(tokens):
         path = params.pop("config")
         try:
             with open(path) as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if not line or line.startswith("#"):
                         continue
+                    if "=" not in line:
+                        raise PreconditionError(
+                            f"{path} line {lineno}: expected key=value, "
+                            f"got {line!r}"
+                        )
                     key, value = line.split("=", 1)
                     params.setdefault(key.strip(), value.strip())
         except OSError as exc:

@@ -87,20 +87,36 @@ class LatticeMeasure:
     @classmethod
     def from_csv(cls, path, mesh_n=None):
         cells, masses, mesh = [], [], mesh_n
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise PreconditionError(
+                f"cannot read lattice CSV {path}: {exc.strerror}"
+            ) from exc
+        with fh:
             header = fh.readline().strip().split(",")
             if header[:3] != ["cell_index", "position", "mass"]:
-                raise PreconditionError(f"unexpected lattice CSV header {header}")
-            for line in fh:
+                raise PreconditionError(
+                    f"{path}: unexpected lattice CSV header {header}"
+                )
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                k, x, m = line.strip().split(",")
-                cells.append(int(k))
-                masses.append(float(m))
-                if mesh is None:
-                    x = float(x)
-                    if x != 0.0:
-                        mesh = round(int(k) / x)
+                try:
+                    k, x, m = line.strip().split(",")
+                    cells.append(int(k))
+                    masses.append(float(m))
+                    if mesh is None:
+                        x = float(x)
+                        if x != 0.0:
+                            mesh = round(int(k) / x)
+                except ValueError as exc:
+                    raise PreconditionError(
+                        f"{path} line {lineno}: expected "
+                        f"cell_index,position,mass, got {line.strip()!r}"
+                    ) from exc
+        if not cells:
+            raise PreconditionError(f"{path}: lattice CSV has no rows")
         if mesh is None:
             mesh = 1
         cells = np.asarray(cells)

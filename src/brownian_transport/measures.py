@@ -21,10 +21,6 @@ from scipy.special import ndtr
 
 from .errors import NumericToleranceError, PreconditionError
 
-# Tolerance for "equal means": inputs are analytically centered, this only
-# absorbs round-off.
-MEAN_TOL = 1e-9
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -252,15 +248,6 @@ class DensityMeasure:
         out = self.segments.cumulative(x)[0]
         return float(out) if np.ndim(x) == 0 else out
 
-    def mean_var(self):
-        """(mean, variance); requires a finite second moment."""
-        m0, m1, m2 = self.moments(-math.inf, math.inf)
-        if m0 <= 0.0:
-            raise PreconditionError("measure has no mass")
-        mean = m1 / m0
-        var = max(m2 / m0 - mean * mean, 0.0)
-        return mean, var
-
     def phi(self, x):
         """Primitive of the CDF: integral of F over (-inf, x].
 
@@ -271,41 +258,6 @@ class DensityMeasure:
         M0, M1 = self.segments.cumulative(x)
         out = np.asarray(x, dtype=float) * M0 - M1
         return float(out) if np.ndim(x) == 0 else out
-
-    def quantile(self, u):
-        """Generalized inverse of the normalized CDF, by bisection."""
-        u = np.asarray(u, dtype=float)
-        target = u * self.total_mass
-        lo, hi = self.support
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            lo = -1.0 if not math.isfinite(lo) else lo
-            hi = 1.0 if not math.isfinite(hi) else hi
-            while self.cdf(lo) > 1e-15:
-                lo *= 2.0
-            while self.cdf(hi) < self.total_mass - 1e-15:
-                hi *= 2.0
-        a = np.full_like(target, lo)
-        b = np.full_like(target, hi)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            below = self.cdf(m) < target
-            a = np.where(below, m, a)
-            b = np.where(below, b, m)
-        out = 0.5 * (a + b)
-        return float(out) if np.ndim(u) == 0 else out
-
-    def to_csv(self, path, grid=None):
-        """Write (x, density) rows for plotting."""
-        if grid is None:
-            lo, hi = self.support
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                lo, hi = self.quantile(1e-9), self.quantile(1.0 - 1e-9)
-            grid = np.linspace(lo, hi, 1001)
-        vals = np.asarray(self.density(np.asarray(grid, dtype=float)))
-        with open(path, "w") as fh:
-            fh.write("x,density\n")
-            for x, d in zip(grid, vals):
-                fh.write(f"{x:.17g},{d:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +310,6 @@ def from_pieces(pieces, total_mass=None):
 
 
 # ---------------------------------------------------------------------------
-# Cost function
-
-
-class CostFunction:
-    """Pointwise transport cost between equal-mean measures.
-
-    The value at x is phi(target) - phi(source); nonnegativity everywhere
-    is necessary for a Brownian transport from source to target to exist.
-    """
-
-    def __init__(self, source, target, mean_tol=MEAN_TOL):
-        m0, _ = source.mean_var()
-        m1, _ = target.mean_var()
-        if abs(m0 - m1) > mean_tol:
-            raise PreconditionError(
-                f"means differ by {m0 - m1:.3e} (tolerance {mean_tol:g})"
-            )
-        self.source = source
-        self.target = target
-
-    def __call__(self, x):
-        return self.target.phi(x) - self.source.phi(x)
-
-
-def cost(mu0, mu1, x):
-    """Transport cost phi(mu1) - phi(mu0) at x; requires equal means."""
-    return CostFunction(mu0, mu1)(x)
-
-
-# ---------------------------------------------------------------------------
 # Centering and truncation
 
 
@@ -419,61 +341,6 @@ def truncate_normalize(m, R):
         raise PreconditionError(f"no mass in [-{R}, {R}]")
     seg = m.segments.clipped_scaled(-R, R, 1.0 / mass)
     return _measure_from_segments(seg, total_mass=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Feasibility report
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    means_equal: bool
-    mean_gap: float
-    variance_ok: bool
-    variance_gap: float
-    min_cost: float
-    argmin: float
-    feasible: bool
-
-
-def feasibility_check(mu0, mu1, grid=None):
-    """Necessary-condition report for a Brownian transport mu0 -> mu1.
-
-    Checks equal means, nondecreasing variance, and the sign of the cost
-    on a grid.  Report-only: never raises for infeasible inputs.
-    """
-    mean0, var0 = mu0.mean_var()
-    mean1, var1 = mu1.mean_var()
-    if grid is None:
-        los, his = [], []
-        for m in (mu0, mu1):
-            lo, hi = m.support
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                lo, hi = m.quantile(1e-10), m.quantile(1.0 - 1e-10)
-            los.append(lo)
-            his.append(hi)
-        grid = np.linspace(min(los), max(his), 513)
-        extra = [b for m in (mu0, mu1) for b in m.breakpoints
-                 if min(los) < b < max(his)]
-        grid = np.sort(np.concatenate([grid, np.asarray(extra)]))
-    grid = np.asarray(grid, dtype=float)
-    vals = mu1.phi(grid) - mu0.phi(grid)
-    k = int(np.argmin(vals))
-    mean_gap = mean1 - mean0
-    var_gap = var1 - var0
-    means_equal = abs(mean_gap) <= MEAN_TOL
-    variance_ok = var_gap >= -MEAN_TOL
-    min_cost = float(vals[k])
-    feasible = means_equal and variance_ok and min_cost >= -1e-9
-    return FeasibilityReport(
-        means_equal=means_equal,
-        mean_gap=float(mean_gap),
-        variance_ok=variance_ok,
-        variance_gap=float(var_gap),
-        min_cost=min_cost,
-        argmin=float(grid[k]),
-        feasible=feasible,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Stochastic and analytic verification of transport solutions.
 
-Path simulations run against solved stopping rules (random walk mode
-reproduces the engine's law exactly; Euler mode first-crosses the graph
-of a continuous stopping function), empirical measures carry the
+Path simulations run against solved stopping rules as a random walk
+that reproduces the engine's law exactly, empirical measures carry the
 statistical distances, and the Hermite expansion check provides an
 independent necessary condition on the assembled counter-example.
 
@@ -27,7 +26,6 @@ from scipy.special import ndtr
 
 from .errors import NonTerminationError, NumericToleranceError, PreconditionError
 from .lattice import LatticeMeasure
-from .measures import DensityMeasure
 from .solver import TransportSolution
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -55,17 +53,10 @@ class EmpiricalMeasure:
         )
         return float(out) if np.ndim(x) == 0 else out
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sample\n")
-            for v in self.samples:
-                fh.write(f"{v:.17g}\n")
-
 
 @dataclass(frozen=True)
 class PathSimConfig:
     num_paths: int = 100_000
-    time_step: float = 1e-4
     max_time: float = 10.0
     seed: int = 0
 
@@ -92,8 +83,6 @@ def _start_positions(start, num_paths, rng):
         cum = cum / cum[-1]
         cells = np.searchsorted(cum, rng.random(num_paths), side="right")
         return (start.offset + cells) / start.mesh_n
-    if isinstance(start, DensityMeasure):
-        return start.quantile(rng.random(num_paths))
     raise PreconditionError(f"cannot sample start positions from {start!r}")
 
 
@@ -106,34 +95,6 @@ class FirstIntersectionResult:
     times: np.ndarray  # path order
     exceeded: int
     seed: int
-
-
-def _check_exceeded(alive, num_paths):
-    exceeded = int(alive.sum())
-    if exceeded > 0.001 * num_paths:
-        raise NonTerminationError(
-            f"{exceeded} of {num_paths} paths exceeded max_time"
-        )
-    return exceeded
-
-
-def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
-    """Sample (X_T, T) for paths stopped by a transport rule.
-
-    ``stopping`` is either a TransportSolution (random-walk mode, the
-    discrete rule with survival probabilities at freshly frozen cells) or
-    a continuous nonnegative function (Euler mode, first crossing of the
-    graph t = f(x) with linear-in-time detection).  Paths still running
-    at max_time are counted; more than 0.1 percent of them fails the run.
-
-    In walk mode the start must lie on the solution's lattice (1/n)Z, and
-    each step t takes one row of num_paths raw words for the survival
-    uniforms, skipped without drawing when no cell freezes at t, and one
-    row for the +-1 coins; only paths still running are moved.
-    """
-    if isinstance(stopping, TransportSolution):
-        return _simulate_lattice(start, stopping, cfg)
-    return _simulate_continuum(start, stopping, cfg)
 
 
 def _skip_raw(bit_generator, k):
@@ -166,17 +127,32 @@ def _start_cells(start, x0, n):
     return np.rint(x0 * n).astype(np.int64)
 
 
-def _simulate_lattice(start, sol: TransportSolution, cfg):
+def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
+    """Sample (X_T, T) for random-walk paths stopped by a transport rule.
+
+    ``stopping`` is a TransportSolution; anything else is refused.  Paths
+    walk the solution's lattice (1/n)Z and stop by its discrete rule, with
+    survival probabilities at freshly frozen cells.  The start (a
+    LatticeMeasure, an array of num_paths positions or one position) must
+    lie on that lattice.  Each step t takes one row of num_paths raw
+    words for the survival uniforms, skipped without drawing when no cell
+    freezes at t, and one row for the +-1 coins; only paths still running
+    are moved.  Paths still running at max_time are counted; more than
+    0.1 percent of them fails the run.
+    """
+    if not isinstance(stopping, TransportSolution):
+        raise PreconditionError(
+            f"paths are stopped by a TransportSolution, not by a "
+            f"{type(stopping).__name__}"
+        )
     rng = _rng(cfg.seed)
     bits = rng.bit_generator
-    n = sol.mesh_n
+    n = stopping.mesh_n
     num = cfg.num_paths
-    if start is None:
-        raise PreconditionError("lattice mode needs a start measure")
     pos = _start_cells(start, _start_positions(start, num, rng), n)
-    pos -= sol.offset
-    g = sol.freeze_step
-    q = sol.survival
+    pos -= stopping.offset
+    g = stopping.freeze_step
+    q = stopping.survival
     if np.any(pos < 0) or np.any(pos >= g.size):
         raise PreconditionError("start mass outside the solved window")
     freeze_steps = set(g.tolist())
@@ -216,62 +192,20 @@ def _simulate_lattice(start, sol: TransportSolution, cfg):
         step |= 1
         p += step
     pos[ids] = p
+    exceeded = ids.size
+    if exceeded > 0.001 * num:
+        raise NonTerminationError(
+            f"{exceeded} of {num} paths exceeded max_time"
+        )
     alive = np.zeros(num, dtype=bool)
     alive[ids] = True
-    exceeded = _check_exceeded(alive, num)
-    pos += sol.offset
+    pos += stopping.offset
     x = pos / n
     times = T / float(n * n)
     return FirstIntersectionResult(
         empirical=EmpiricalMeasure(x[~alive] if exceeded else x, cfg.seed),
         positions=x,
         times=times,
-        exceeded=exceeded,
-        seed=cfg.seed,
-    )
-
-
-def _simulate_continuum(start, f, cfg):
-    rng = _rng(cfg.seed)
-    num = cfg.num_paths
-    dt = cfg.time_step
-    x = _start_positions(start, num, rng)
-    xT = x.copy()
-    T = np.zeros(num)
-    h = 0.0 - np.asarray(f(x), dtype=float)
-    alive = h < 0.0  # paths starting on or above the graph stop at once
-    sqdt = math.sqrt(dt)
-    t = 0.0
-    while t < cfg.max_time and alive.any():
-        xi = rng.standard_normal(num)
-        x_new = np.where(alive, x + sqdt * xi, x)
-        h_new = (t + dt) - np.asarray(f(x_new), dtype=float)
-        cross = alive & (h_new >= 0.0)
-        if cross.any():
-            # root of s -> t + s dt - f(x + s dx) on the linear-in-time
-            # path; bisection handles the kinks of a piecewise-linear f
-            x0 = x[cross]
-            dx = x_new[cross] - x0
-            lo = np.zeros(x0.size)
-            hi = np.ones(x0.size)
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                hm = (t + mid * dt) - np.asarray(f(x0 + mid * dx),
-                                                 dtype=float)
-                below = hm < 0.0
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            T[cross] = t + hi * dt
-            xT[cross] = x0 + hi * dx
-        x = x_new
-        h = h_new
-        alive &= ~cross
-        t += dt
-    exceeded = _check_exceeded(alive, num)
-    return FirstIntersectionResult(
-        empirical=EmpiricalMeasure(xT[~alive] if exceeded else xT, cfg.seed),
-        positions=xT,
-        times=T,
         exceeded=exceeded,
         seed=cfg.seed,
     )
@@ -306,42 +240,6 @@ def simulate_counterexample(result, cfg: PathSimConfig):
     )
 
 
-def simulate_counterexample_paths(result, cfg: PathSimConfig):
-    """Path-level run of the full stopping rule behind the counter-example.
-
-    At time t0 each path lands at sqrt(t0) times a standard Gaussian; on
-    the Cantor set it stops there with probability equal to the ratio of
-    the unit-variance to the variance-t0 density.  Survivors continue as
-    Euler paths until first crossing t = t0 + f1(x).  The law of the
-    stopped position is standard Gaussian.
-    """
-    rng = _rng(cfg.seed)
-    t0 = result.config.t0
-    x = math.sqrt(t0) * rng.standard_normal(cfg.num_paths)
-    u = rng.random(cfg.num_paths)
-    ratio = np.exp(-0.5 * x * x * (1.0 - 1.0 / t0)) * math.sqrt(t0)
-    killed = result.f.on_set(x) & (u < ratio)
-    survivors = np.nonzero(~killed)[0]
-    sub = PathSimConfig(
-        num_paths=survivors.size,
-        time_step=cfg.time_step,
-        max_time=cfg.max_time,
-        seed=cfg.seed + 1,
-    )
-    cont = simulate_first_intersection(x[survivors], result.f1, sub)
-    positions = x.copy()
-    times = np.full(cfg.num_paths, t0)
-    positions[survivors] = cont.positions
-    times[survivors] = t0 + cont.times
-    return FirstIntersectionResult(
-        empirical=EmpiricalMeasure(positions, cfg.seed),
-        positions=positions,
-        times=times,
-        exceeded=cont.exceeded,
-        seed=cfg.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Statistical distances
 
@@ -370,19 +268,6 @@ def dkw_epsilon(count):
     return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * count))
 
 
-def lattice_cdf(m: LatticeMeasure):
-    """Right-continuous CDF of a lattice measure as a callable."""
-    cum = np.concatenate([[0.0], np.cumsum(m.masses)])
-    pos = m.positions
-
-    def F(x):
-        idx = np.searchsorted(pos, np.asarray(x) + 0.5 / m.mesh_n, side="left")
-        out = cum[idx]
-        return float(out) if np.ndim(x) == 0 else out
-
-    return F
-
-
 def ks_distance_lattice(e: EmpiricalMeasure, m: LatticeMeasure):
     """KS statistic against an atomic lattice law, exact at the jumps.
 
@@ -397,36 +282,6 @@ def ks_distance_lattice(e: EmpiricalMeasure, m: LatticeMeasure):
     return float(
         np.maximum(np.abs(emp_right - cum), np.abs(emp_left - cum_left)).max()
     )
-
-
-def levy_distance(F, G, grid, tol=1e-9):
-    """Levy distance surrogate on a grid, by bisection over the offset.
-
-    Smallest delta with F(x - delta) - delta <= G(x) <= F(x + delta) + delta
-    at every grid point; metrizes weak-star convergence on the line.
-    """
-    grid = np.asarray(grid, dtype=float)
-
-    def ok(d):
-        Fl = np.asarray(F(grid - d), dtype=float)
-        Fr = np.asarray(F(grid + d), dtype=float)
-        G_ = np.asarray(G(grid), dtype=float)
-        return bool(np.all(Fl - d <= G_ + 1e-12) and np.all(G_ <= Fr + d + 1e-12))
-
-    lo, hi = 0.0, 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e6:
-            raise NumericToleranceError("Levy bisection failed to bracket")
-    if ok(lo):
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ which its live mass falls to LIVE_TOL, because stepping it further would
 move its residual (about 1e-13) into `stopped`; so every row of a batch
 ends bit-identical to `solve` on its instance.  The loop hands the state
 to an optional ``observe`` callback at the top of every iteration;
-`InvariantCheck`, the live history of the acceptance suite,
-`component_collapse_diagnostic` and the CLI step log are such observers.
+`InvariantCheck`, the live history of the acceptance suite and the CLI
+step log are such observers.
 """
 
 import math
@@ -487,36 +487,6 @@ def solve_batch(states, max_steps=None, observe=None) -> list:
     still running.  An error names the instance of the failing row.
     """
     return _run(SolverState.stack(states), max_steps, observe)
-
-
-def component_collapse_diagnostic(mu0n: LatticeMeasure, mu1n: LatticeMeasure,
-                                  max_steps=100_000):
-    """Empirical collapse ratios of the not-yet-frozen intervals.
-
-    For every maximal run of positive-cost cells present at a step, the
-    physical time until the whole run freezes is divided by the run's
-    physical width.  The maximum ratio is a diagnostic constant; theory
-    bounds it but assigns it no value.
-    """
-    masks = []
-    solve(mu0n, mu1n, max_steps=max_steps,
-          observe=lambda state: masks.append(state.phi > 0.0))
-    alive = np.vstack(masks)
-    # first step at which each cell's cost has vanished for good
-    zero_from = np.where(
-        alive.any(axis=0), alive.shape[0] - np.argmax(alive[::-1], axis=0),
-        0,
-    )
-    n2 = float(mu0n.mesh_n**2)
-    ratios = []
-    for t, mask in enumerate(masks):
-        runs = np.nonzero(np.diff(np.concatenate([[0], mask.view(np.int8),
-                                                  [0]])))[0].reshape(-1, 2)
-        for a, b in runs:
-            width = (b - a) / mu0n.mesh_n
-            vanish = int(zero_from[a:b].max())
-            ratios.append(((vanish - t) / n2) / width)
-    return ratios
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own integration
 machinery: the Gaussian CDF comes from its Maclaurin series, integrals
-from a fixed-refinement composite Simpson rule.
+from a fixed-refinement composite Simpson rule.  Distances between laws
+(the Levy metric, a lattice measure's CDF) are test tools too.
 """
 
 import math
@@ -51,6 +52,49 @@ def bisect_oracle(f, a, b, iters=200):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def lattice_cdf(m):
+    """Right-continuous CDF of a lattice measure as a callable."""
+    cum = np.concatenate([[0.0], np.cumsum(m.masses)])
+    pos = m.positions
+
+    def F(x):
+        idx = np.searchsorted(pos, np.asarray(x) + 0.5 / m.mesh_n, side="left")
+        out = cum[idx]
+        return float(out) if np.ndim(x) == 0 else out
+
+    return F
+
+
+def levy_distance(F, G, grid, tol=1e-9):
+    """Levy distance surrogate on a grid, by bisection over the offset.
+
+    Smallest delta with F(x - delta) - delta <= G(x) <= F(x + delta) + delta
+    at every grid point; metrizes weak-star convergence on the line.
+    """
+    grid = np.asarray(grid, dtype=float)
+
+    def ok(d):
+        Fl = np.asarray(F(grid - d), dtype=float)
+        Fr = np.asarray(F(grid + d), dtype=float)
+        G_ = np.asarray(G(grid), dtype=float)
+        return bool(np.all(Fl - d <= G_ + 1e-12) and np.all(G_ <= Fr + d + 1e-12))
+
+    lo, hi = 0.0, 1.0
+    while not ok(hi):
+        hi *= 2.0
+        if hi > 1e6:
+            raise AssertionError("Levy bisection failed to bracket")
+    if ok(lo):
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 @pytest.fixture(scope="session")

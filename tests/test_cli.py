@@ -143,6 +143,36 @@ def test_solve_infeasible_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _solve_with_mu0(tmp_path, mu0_text):
+    mu1 = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
+    mu1.to_csv(tmp_path / "mu1.csv")
+    mu0 = tmp_path / "mu0.csv"
+    if mu0_text is not None:
+        mu0.write_text(mu0_text)
+    return main(["solve", f"mu0={mu0}", f"mu1={tmp_path / 'mu1.csv'}",
+                 f"out_dir={tmp_path / 'sol'}"])
+
+
+def test_solve_missing_input_exits_2(tmp_path, capsys):
+    assert _solve_with_mu0(tmp_path, None) == 2
+    err = capsys.readouterr().err
+    assert "mu0.csv" in err and "Traceback" not in err
+
+
+def test_solve_header_only_input_exits_2(tmp_path, capsys):
+    assert _solve_with_mu0(tmp_path, "cell_index,position,mass\n") == 2
+    err = capsys.readouterr().err
+    assert "mu0.csv" in err and "no rows" in err
+
+
+def test_solve_short_row_exits_2(tmp_path, capsys):
+    code = _solve_with_mu0(tmp_path,
+                           "cell_index,position,mass\n0,0,0.5\n1,1\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mu0.csv line 3" in err and "'1,1'" in err
+
+
 def test_cantor_command(tmp_path):
     code = main([
         "cantor", "r=0.5", "depth=6", "samples=300", "seed=1",
@@ -172,6 +202,15 @@ def test_config_file_with_override(tmp_path):
         line.split("=", 1) for line in (out / "meta").read_text().splitlines()
     )
     assert meta["t0"] == "0.5"  # explicit argument wins over the file
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("# mesh\nn=32\ndepth 5\n")
+    code = main(["pipeline", f"config={cfgfile}", f"out_dir={tmp_path}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "run.cfg line 3" in err and "'depth 5'" in err
 
 
 @pytest.mark.parametrize("command",

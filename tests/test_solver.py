@@ -17,7 +17,6 @@ from brownian_transport.solver import (
     PiecewiseLinear,
     SolverState,
     _coincidence_violation,
-    component_collapse_diagnostic,
     extend_f,
     init_state,
     solve,
@@ -383,13 +382,6 @@ class TestExtendF:
         assert sol.expected_time == pytest.approx(
             mu1.variance() - mu0.variance(), abs=1e-14
         )
-
-
-def test_component_collapse_ratios_bounded():
-    ratios = component_collapse_diagnostic(DELTA0, QUARTERS)
-    assert ratios
-    assert all(r >= 0.0 for r in ratios)
-    assert max(ratios) < 10.0
 
 
 def test_piecewise_linear_extension():
