@@ -468,17 +468,12 @@ CRITERIA = (
 )
 
 
-def run_all(seed=42, paths=1_000_000, meshes=(100, 200, 400),
-            random_instances=100, gap_samples=10_000, sim_mesh=16,
-            enumeration_cells=7, report=None):
-    """Run the whole suite; returns the list of CriterionResult, each with
-    its wall time in ``seconds``.  ``report``, if given, is called with
-    each result as soon as its criterion finishes."""
-    ctx = AcceptanceContext(
-        seed=seed, paths=paths, meshes=meshes,
-        random_instances=random_instances, gap_samples=gap_samples,
-        sim_mesh=sim_mesh, enumeration_cells=enumeration_cells,
-    )
+def run_all(report=None, **params):
+    """Run the whole suite on ``AcceptanceContext(**params)``; returns the
+    list of CriterionResult, each with its wall time in ``seconds``.
+    ``report``, if given, is called with each result as soon as its
+    criterion finishes."""
+    ctx = AcceptanceContext(**params)
     out = []
     for fn in CRITERIA:
         t = time.perf_counter()

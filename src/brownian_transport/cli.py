@@ -122,15 +122,25 @@ def write_svg_lineplot(path, xs, ys, title="", width=640, height=360):
         )
 
 
+def _given(params, fields):
+    """Keyword arguments for the keys the user gave; the others keep the
+    defaults of the callee.  ``fields`` maps key -> (argument, parser)."""
+    return {arg: parse(params[key]) for key, (arg, parse) in fields.items()
+            if key in params}
+
+
+_PIPELINE_FIELDS = {
+    "t0": ("t0", float),
+    "r": ("cantor_radius", float),
+    "depth": ("cantor_depth", int),
+    "R": ("truncation_R", float),
+    "n": ("mesh_n", int),
+    "margin": ("horizon_margin", float),
+}
+
+
 def _cmd_pipeline(params):
-    cfg = CantelliConfig(
-        t0=float(params.get("t0", 0.5)),
-        cantor_radius=float(params["r"]) if "r" in params else None,
-        cantor_depth=int(params["depth"]) if "depth" in params else None,
-        truncation_R=float(params.get("R", 4.0)),
-        mesh_n=int(params.get("n", 400)),
-        horizon_margin=float(params.get("margin", 0.05)),
-    )
+    cfg = CantelliConfig(**_given(params, _PIPELINE_FIELDS))
     res = run_pipeline(cfg)
     out = _out_dir(params)
     xs = res.f1.xs
@@ -164,6 +174,12 @@ def _cmd_solve(params):
         raise PreconditionError("solve needs mu0=FILE.csv and mu1=FILE.csv")
     mu0 = LatticeMeasure.from_csv(params["mu0"])
     mu1 = LatticeMeasure.from_csv(params["mu1"])
+    # a file whose rows all sit at position 0 does not state its mesh; it
+    # takes the other input's
+    if not mu0.positions.any():
+        mu0 = LatticeMeasure(mu1.mesh_n, mu0.offset, mu0.masses)
+    elif not mu1.positions.any():
+        mu1 = LatticeMeasure(mu0.mesh_n, mu1.offset, mu1.masses)
     out = _out_dir(params)
     verbose = int(params.get("verbose", 0))
     max_steps = int(params["max_steps"]) if "max_steps" in params else None
@@ -202,24 +218,20 @@ def _print_criterion(result):
           file=sys.stderr)
 
 
+_VERIFY_FIELDS = {
+    "seed": ("seed", int),
+    "paths": ("paths", int),
+    "meshes": ("meshes",
+               lambda v: tuple(int(m) for m in v.split(",") if m)),
+    "instances": ("random_instances", int),
+    "gap_samples": ("gap_samples", int),
+    "sim_mesh": ("sim_mesh", int),
+    "cells": ("enumeration_cells", int),
+}
+
+
 def _cmd_verify(params):
-    kwargs = {}
-    if "seed" in params:
-        kwargs["seed"] = int(params["seed"])
-    if "paths" in params:
-        kwargs["paths"] = int(params["paths"])
-    if "meshes" in params:
-        kwargs["meshes"] = tuple(
-            int(v) for v in params["meshes"].split(",") if v
-        )
-    if "instances" in params:
-        kwargs["random_instances"] = int(params["instances"])
-    if "gap_samples" in params:
-        kwargs["gap_samples"] = int(params["gap_samples"])
-    if "sim_mesh" in params:
-        kwargs["sim_mesh"] = int(params["sim_mesh"])
-    if "cells" in params:
-        kwargs["enumeration_cells"] = int(params["cells"])
+    kwargs = _given(params, _VERIFY_FIELDS)
     results = acceptance.run_all(report=_print_criterion, **kwargs)
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")

@@ -86,6 +86,9 @@ class LatticeMeasure:
 
     @classmethod
     def from_csv(cls, path, mesh_n=None):
+        """Read a `to_csv` file.  The mesh is read off the rows at nonzero
+        positions, unless ``mesh_n`` is given; a file whose rows all sit at
+        position 0 does not state its mesh and reads as mesh 1."""
         cells, masses, mesh = [], [], mesh_n
         try:
             fh = open(path)
@@ -200,15 +203,3 @@ def phi_lattice(m, k):
     # cells above the window contribute linearly through total mass and mean
     return out if out.ndim else float(out)
 
-
-def phi_cells(mu0n, mu1n):
-    """Integer-unit cost profile of mu0n -> mu1n over the joint window."""
-    if mu0n.mesh_n != mu1n.mesh_n:
-        raise PreconditionError("mesh mismatch")
-    lo = min(mu0n.offset, mu1n.offset)
-    hi = max(
-        mu0n.offset + mu0n.masses.size - 1, mu1n.offset + mu1n.masses.size - 1
-    )
-    cells = np.arange(lo, hi + 1)
-    n = mu0n.mesh_n
-    return cells, n * (phi_lattice(mu1n, cells) - phi_lattice(mu0n, cells))

@@ -1,13 +1,13 @@
 """One-dimensional measures with piecewise Gaussian and affine densities.
 
-Provides cumulative distribution functions, the CDF primitive used as the
-transport cost, Cantor sets with exact rational endpoints, and the
-centering / truncation transforms that prepare measures for discretization.
-
 Every measure is built from contiguous pieces, each an affine density
 plus Gaussian terms, by the constructors in this module (``gaussian``,
-``uniform``, ``triangle``, ``from_pieces``).  Interval moments are
-closed-form, so every integral downstream is exact to rounding.
+``uniform``, ``triangle``, ``from_pieces``).  The one read-out is the
+closed-form (mass, first moment) pair over an interval, which is all the
+hat projection onto the lattice and the centering need; every integral
+downstream is therefore exact to rounding.  The module also builds
+Cantor sets with exact rational endpoints and provides the centering /
+truncation transforms that prepare measures for discretization.
 """
 
 import math
@@ -29,24 +29,17 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _gauss_pdf(x, var):
-    x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x / var) / (_SQRT_2PI * math.sqrt(var))
 
 
 def _gauss_piece_moments(p, q, coef, var):
-    """(m0, m1, m2) of coef * N(0, var) density over [p, q]; p, q may be inf."""
-    s = math.sqrt(var)
+    """(m0, m1) of coef * N(0, var) density over [p, q]; p, q may be inf."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    Fp, Fq = ndtr(p / s), ndtr(q / s)
-    fp = np.where(np.isfinite(p), _gauss_pdf(p, var), 0.0)
-    fq = np.where(np.isfinite(q), _gauss_pdf(q, var), 0.0)
-    pfp = np.where(np.isfinite(p), p, 0.0) * fp
-    qfq = np.where(np.isfinite(q), q, 0.0) * fq
-    m0 = coef * (Fq - Fp)
-    m1 = coef * var * (fp - fq)
-    m2 = coef * var * ((Fq - Fp) + (pfp - qfq))
-    return m0, m1, m2
+    s = math.sqrt(var)
+    m0 = coef * (ndtr(q / s) - ndtr(p / s))
+    m1 = coef * var * (_gauss_pdf(p, var) - _gauss_pdf(q, var))
+    return m0, m1
 
 
 def _affine_piece_moments(p, q, c0, c1):
@@ -56,11 +49,9 @@ def _affine_piece_moments(p, q, c0, c1):
     q = np.asarray(q, dtype=float)
     w = q - p
     s1 = p + q
-    s2 = p * p + p * q + q * q
     m0 = w * (c0 + 0.5 * c1 * s1)
-    m1 = w * (0.5 * c0 * s1 + c1 * s2 / 3.0)
-    m2 = w * (c0 * s2 / 3.0 + 0.25 * c1 * s1 * (p * p + q * q))
-    return m0, m1, m2
+    m1 = w * (0.5 * c0 * s1 + c1 * (p * p + p * q + q * q) / 3.0)
+    return m0, m1
 
 
 @dataclass(frozen=True)
@@ -71,23 +62,15 @@ class _Piece:
     gauss: tuple[tuple[float, float], ...]  # (coef, var) pairs
 
     def moments(self, p, q):
-        m0 = np.zeros(np.shape(p)) if np.ndim(p) else 0.0
-        m1, m2 = m0, m0
+        m0 = m1 = np.zeros(np.shape(p)) if np.ndim(p) else 0.0
         c0, c1 = self.affine
         if c0 != 0.0 or c1 != 0.0:
-            a0, a1, a2 = _affine_piece_moments(p, q, c0, c1)
-            m0, m1, m2 = m0 + a0, m1 + a1, m2 + a2
+            a0, a1 = _affine_piece_moments(p, q, c0, c1)
+            m0, m1 = m0 + a0, m1 + a1
         for coef, var in self.gauss:
-            g0, g1, g2 = _gauss_piece_moments(p, q, coef, var)
-            m0, m1, m2 = m0 + g0, m1 + g1, m2 + g2
-        return m0, m1, m2
-
-    def density(self, x):
-        c0, c1 = self.affine
-        out = c0 + c1 * np.asarray(x, dtype=float)
-        for coef, var in self.gauss:
-            out = out + coef * _gauss_pdf(x, var)
-        return out
+            g0, g1 = _gauss_piece_moments(p, q, coef, var)
+            m0, m1 = m0 + g0, m1 + g1
+        return m0, m1
 
 
 class _Segments:
@@ -107,17 +90,12 @@ class _Segments:
                 raise ValueError("affine terms need finite piece bounds")
         self.pieces = pieces
         self.edges = np.array([pieces[0].lo] + [pc.hi for pc in pieces])
-        full = [pc.moments(max(pc.lo, -np.inf), pc.hi) for pc in pieces]
-        self._full = np.array(full)  # (P, 3)
-        self._prefix = np.vstack(
-            [np.zeros(3), np.cumsum(self._full, axis=0)]
-        )  # (P+1, 3)
 
     def moments(self, a, b):
-        """(m0, m1, m2) of the density over [a, b], scalars."""
+        """(m0, m1) of the density over [a, b], scalars."""
         if b <= a:
-            return 0.0, 0.0, 0.0
-        out = np.zeros(3)
+            return 0.0, 0.0
+        out = np.zeros(2)
         lo_idx = max(bisect_right(self.edges, a) - 1, 0)
         for pc in self.pieces[lo_idx:]:
             if pc.lo >= b:
@@ -125,7 +103,7 @@ class _Segments:
             p, q = max(pc.lo, a), min(pc.hi, b)
             if q > p:
                 out += pc.moments(p, q)
-        return float(out[0]), float(out[1]), float(out[2])
+        return float(out[0]), float(out[1])
 
     def moments_batch(self, p, q):
         """(m0, m1) over many [p_i, q_i]; intervals must not straddle edges."""
@@ -140,41 +118,8 @@ class _Segments:
         m1 = np.zeros_like(p)
         for j in np.unique(idx):
             sel = idx == j
-            g0, g1, _ = self.pieces[j].moments(p[sel], q[sel])
-            m0[sel], m1[sel] = g0, g1
+            m0[sel], m1[sel] = self.pieces[j].moments(p[sel], q[sel])
         return m0, m1
-
-    def cumulative(self, x):
-        """(M0, M1) of the density over (-inf, x], vectorized."""
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0,
-                      len(self.pieces) - 1)
-        M0 = self._prefix[idx, 0].copy()
-        M1 = self._prefix[idx, 1].copy()
-        for j in np.unique(idx):
-            sel = idx == j
-            pc = self.pieces[j]
-            xx = np.clip(x[sel], pc.lo, pc.hi)
-            g0, g1, _ = pc.moments(np.full_like(xx, pc.lo), xx)
-            M0[sel] += g0
-            M1[sel] += g1
-        if scalar:
-            return float(M0[0]), float(M1[0])
-        return M0, M1
-
-    def density(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0,
-                      len(self.pieces) - 1)
-        out = np.zeros_like(x, dtype=float)
-        for j in np.unique(idx):
-            sel = idx == j
-            out[sel] = self.pieces[j].density(x[sel])
-        inside = (x >= self.edges[0]) & (x <= self.edges[-1])
-        out = np.where(inside, out, 0.0)
-        return float(out[0]) if scalar else out
 
     def clipped_scaled(self, lo, hi, factor):
         pieces = []
@@ -210,11 +155,13 @@ class _Segments:
 class DensityMeasure:
     """A measure on the line given by a nonnegative piecewise density.
 
-    ``segments`` holds the contiguous pieces, whose interval moments are
-    closed-form.  ``total_mass`` is 1 for probability measures and below
-    1 for sub-probability restrictions.  ``support`` (the closed hull of
-    the pieces, endpoints may be infinite), ``breakpoints`` (the finite
-    piece edges) and ``density`` are read off the segments.
+    ``segments`` holds the contiguous pieces.  The measure is read only
+    through closed-form interval moments: ``moments`` gives the (mass,
+    first moment) pair over one interval and ``moments_batch`` the pairs
+    over many.  ``total_mass`` is 1 for probability measures and below 1
+    for sub-probability restrictions.  ``support`` (the closed hull of the
+    pieces, endpoints may be infinite) and ``breakpoints`` (the finite
+    piece edges) are read off the segments.
     """
 
     segments: _Segments
@@ -230,34 +177,13 @@ class DensityMeasure:
         return tuple(float(e) for e in self.segments.edges
                      if math.isfinite(e))
 
-    def density(self, x):
-        return self.segments.density(x)
-
     def moments(self, a, b):
-        """(mass, first moment, second moment) of the density over [a, b]."""
+        """(mass, first moment) of the density over [a, b]."""
         return self.segments.moments(a, b)
 
     def moments_batch(self, p, q):
         """(mass, first moment) over many intervals, for discretization."""
         return self.segments.moments_batch(p, q)
-
-    # -- measure operations --------------------------------------------------
-
-    def cdf(self, x):
-        """F(x) = mass of (-inf, x]; nondecreasing, in [0, total_mass]."""
-        out = self.segments.cumulative(x)[0]
-        return float(out) if np.ndim(x) == 0 else out
-
-    def phi(self, x):
-        """Primitive of the CDF: integral of F over (-inf, x].
-
-        Evaluated through the equivalent first-moment form
-        integral of (x - y) over y <= x, which is exact for closed-form
-        moments.
-        """
-        M0, M1 = self.segments.cumulative(x)
-        out = np.asarray(x, dtype=float) * M0 - M1
-        return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +245,8 @@ def gamma_center(m):
     Returns (measure, c, d) where c and d scale the restriction to the
     negative and positive half-lines.
     """
-    n0, n1, _ = m.moments(-math.inf, 0.0)
-    p0, p1, _ = m.moments(0.0, math.inf)
+    n0, n1 = m.moments(-math.inf, 0.0)
+    p0, p1 = m.moments(0.0, math.inf)
     if n0 <= 1e-14 or p0 <= 1e-14:
         raise PreconditionError(
             "gamma centering needs mass on both sides of the origin"

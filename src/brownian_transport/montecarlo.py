@@ -6,11 +6,12 @@ statistical distances, and the Hermite expansion check provides an
 independent necessary condition on the assembled counter-example.
 
 Randomness comes from a counter-based generator (Philox) keyed by the
-seed.  Start positions take one row of num_paths variates when they are
-sampled, and every walk step takes two more rows, survival uniforms and
-then coins, with word i of a row belonging to path i.  So path i's
-trajectory is a pure function of (seed, num_paths, i) regardless of
-scheduling; the row width makes num_paths part of the key.  The walk
+seed.  Start positions, drawn from a lattice measure, take one row of
+num_paths variates, and every walk step takes two more rows, survival
+uniforms and then coins, with word i of a row belonging to path i.  So
+path i's trajectory is a pure function of (seed, num_paths, i)
+regardless of scheduling; the row width makes num_paths part of the
+key.  The walk
 reads raw 64-bit words: the uniform of word w is (w >> 11) * 2^-53,
 exactly ``Generator.random``'s double, and the coin ``random() < 0.5``
 is the top bit of w being clear.  A step at which no cell freezes needs
@@ -71,21 +72,6 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _start_positions(start, num_paths, rng):
-    if isinstance(start, np.ndarray):
-        if start.size != num_paths:
-            raise PreconditionError("start array size must match num_paths")
-        return start.astype(float, copy=True)
-    if isinstance(start, (int, float)):
-        return np.full(num_paths, float(start))
-    if isinstance(start, LatticeMeasure):
-        cum = np.cumsum(start.masses)
-        cum = cum / cum[-1]
-        cells = np.searchsorted(cum, rng.random(num_paths), side="right")
-        return (start.offset + cells) / start.mesh_n
-    raise PreconditionError(f"cannot sample start positions from {start!r}")
-
-
 @dataclass(frozen=True)
 class FirstIntersectionResult:
     """Stopped positions and times of simulated paths."""
@@ -112,19 +98,26 @@ def _skip_raw(bit_generator, k):
     bit_generator.random_raw(tail)
 
 
-def _start_cells(start, x0, n):
-    """Lattice indices k of start positions k / n; others are refused."""
-    on_lattice = isinstance(start, LatticeMeasure)
-    k = (start.positions[start.masses > 0] if on_lattice else x0) * n
+def _start_cells(start, num_paths, rng, n):
+    """Lattice indices k of num_paths starts k / n drawn from a
+    LatticeMeasure; a measure with mass off (1/n)Z is refused."""
+    if not isinstance(start, LatticeMeasure):
+        raise PreconditionError(
+            f"walks start from a LatticeMeasure, not from a "
+            f"{type(start).__name__}"
+        )
+    k = start.positions[start.masses > 0] * n
     off = float(np.max(np.abs(k - np.rint(k)), initial=0.0)) / n
     if off > 1e-9:
-        what = (f"start measure on mesh {start.mesh_n}" if on_lattice
-                else "start positions")
         raise PreconditionError(
-            f"{what} off the mesh-{n} lattice (1/{n})Z of the solution by "
-            f"up to {off:.3g}; walk mode needs starts on that lattice"
+            f"start measure on mesh {start.mesh_n} off the mesh-{n} lattice "
+            f"(1/{n})Z of the solution by up to {off:.3g}; walk mode needs "
+            f"starts on that lattice"
         )
-    return np.rint(x0 * n).astype(np.int64)
+    cum = np.cumsum(start.masses)
+    cum = cum / cum[-1]
+    cells = np.searchsorted(cum, rng.random(num_paths), side="right")
+    return np.rint((start.offset + cells) / start.mesh_n * n).astype(np.int64)
 
 
 def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
@@ -132,13 +125,12 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
 
     ``stopping`` is a TransportSolution; anything else is refused.  Paths
     walk the solution's lattice (1/n)Z and stop by its discrete rule, with
-    survival probabilities at freshly frozen cells.  The start (a
-    LatticeMeasure, an array of num_paths positions or one position) must
-    lie on that lattice.  Each step t takes one row of num_paths raw
-    words for the survival uniforms, skipped without drawing when no cell
-    freezes at t, and one row for the +-1 coins; only paths still running
-    are moved.  Paths still running at max_time are counted; more than
-    0.1 percent of them fails the run.
+    survival probabilities at freshly frozen cells.  The start is a
+    LatticeMeasure whose mass lies on that lattice.  Each step t takes one
+    row of num_paths raw words for the survival uniforms, skipped without
+    drawing when no cell freezes at t, and one row for the +-1 coins; only
+    paths still running are moved.  Paths still running at max_time are
+    counted; more than 0.1 percent of them fails the run.
     """
     if not isinstance(stopping, TransportSolution):
         raise PreconditionError(
@@ -149,7 +141,7 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
     bits = rng.bit_generator
     n = stopping.mesh_n
     num = cfg.num_paths
-    pos = _start_cells(start, _start_positions(start, num, rng), n)
+    pos = _start_cells(start, num, rng, n)
     pos -= stopping.offset
     g = stopping.freeze_step
     q = stopping.survival

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, NonTerminationError, PreconditionError
-from .lattice import LatticeMeasure, phi_cells
+from .lattice import LatticeMeasure, phi_lattice
 
 PHI_CLAMP = -1e-12  # round-off absorbed silently
 PHI_ABORT = -1e-9  # beyond this the run is inconsistent
@@ -165,10 +165,10 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
 
     lo, hi = min(lo0, lo1), max(hi0, hi1)
     mu0t, mu1t = mu0n.trimmed(), mu1n.trimmed()
-    cells, phi = phi_cells(mu0t, mu1t)
-    w = hi - lo + 1
-    full = np.zeros(w)
-    full[cells - lo] = phi
+    # the cost profile in integer lattice units over the joint window
+    cells = np.arange(lo, hi + 1)
+    full = mu0n.mesh_n * (phi_lattice(mu1t, cells) - phi_lattice(mu0t, cells))
+    w = cells.size
     # both window edges carry cost n * (mean gap), zero for exactly matched
     # inputs; values inside the mean tolerance are forced to zero so the
     # edges absorb, larger residues mean the window cannot hold the transport

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own integration
 machinery: the Gaussian CDF comes from its Maclaurin series, integrals
 from a fixed-refinement composite Simpson rule.  Distances between laws
-(the Levy metric, a lattice measure's CDF) are test tools too.
+(the Levy metric, a lattice measure's CDF) are test tools too, and so are
+a density measure's CDF and CDF primitive, scalar read-outs of its
+closed-form interval moments.
 """
 
 import math
@@ -52,6 +54,18 @@ def bisect_oracle(f, a, b, iters=200):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def cdf(m, x):
+    """F(x): the mass of (-inf, x], from the closed-form interval moments."""
+    return m.moments(-math.inf, x)[0]
+
+
+def primitive(m, x):
+    """Phi(x) = integral of F over (-inf, x] = x M0 - M1, with (M0, M1) the
+    mass and first moment of (-inf, x]."""
+    M0, M1 = m.moments(-math.inf, x)
+    return x * M0 - M1
 
 
 def lattice_cdf(m):

@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from brownian_transport import cli
 from brownian_transport.cli import ENV_OUT_DIR, main
 from brownian_transport.lattice import LatticeMeasure
+from brownian_transport.pipeline import CantelliConfig, run_pipeline
 from brownian_transport.solver import solve
 
 
@@ -31,6 +33,27 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     assert main(["pipeline", "n=32", "depth=5", f"out_dir={b}"]) == 0
     for name in ("f.csv", "phi.csv", "cantor.csv", "meta"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_pipeline_passes_only_the_given_keys(tmp_path, monkeypatch):
+    # the keys left out keep CantelliConfig's own defaults
+    seen = []
+
+    def spy(cfg):
+        seen.append(cfg)
+        return run_pipeline(cfg)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    assert main(["pipeline", "n=50", f"out_dir={tmp_path}"]) == 0
+    assert seen == [CantelliConfig(mesh_n=50)]
+
+
+def test_verify_passes_only_the_given_keys(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli.acceptance, "run_all",
+                        lambda report, **params: seen.append(params) or [])
+    assert main(["verify", "seed=1", "meshes=32,64", "cells=4"]) == 0
+    assert seen == [{"seed": 1, "meshes": (32, 64), "enumeration_cells": 4}]
 
 
 def test_full_precision_floats(tmp_path):
@@ -129,6 +152,21 @@ def test_steplog_covers_runs_beyond_ten_thousand_steps(tmp_path):
         next(fh)
         ts = [int(line.split(",", 1)[0]) for line in fh]
     assert ts == [t for t in range(steps) for _ in range(target.size)]
+
+
+def test_solve_reads_a_point_mass_at_0_on_the_other_inputs_mesh(tmp_path):
+    # a file whose rows all sit at position 0 does not state its mesh
+    mu0 = LatticeMeasure(2, 0, np.array([1.0]))
+    mu1 = LatticeMeasure(2, -1, np.array([0.5, 0.0, 0.5]))
+    mu0.to_csv(tmp_path / "a.csv")
+    mu1.to_csv(tmp_path / "b.csv")
+    out = tmp_path / "sol"
+    code = main(["solve", f"mu0={tmp_path / 'a.csv'}",
+                 f"mu1={tmp_path / 'b.csv'}", f"out_dir={out}"])
+    assert code == 0
+    stopped = LatticeMeasure.from_csv(out / "stopped.csv")
+    assert stopped.mesh_n == 2 and stopped.offset == -1
+    assert np.array_equal(stopped.masses, mu1.masses)
 
 
 def test_solve_infeasible_exits_2(tmp_path, capsys):

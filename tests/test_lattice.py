@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
-from brownian_transport.lattice import (
-    LatticeMeasure,
-    discretize,
-    phi_cells,
-    phi_lattice,
-)
+from brownian_transport.lattice import LatticeMeasure, discretize, phi_lattice
+
+from conftest import primitive
 
 
 def test_uniform_n2_masses_symbolic():
@@ -76,12 +73,6 @@ def test_phi_half_masses():
     assert phi_lattice(half, 0) == pytest.approx(0.5, abs=0)
 
 
-def test_cost_profile_identical_measures():
-    m = LatticeMeasure(3, -2, np.array([0.2, 0.3, 0.1, 0.4]))
-    cells, phi = phi_cells(m, m)
-    assert np.all(phi == 0.0)
-
-
 def test_phi_exact_at_nodes():
     # hats reproduce piecewise-linear integrands, so the node values of
     # the discrete profile equal the continuous one exactly
@@ -89,7 +80,8 @@ def test_phi_exact_at_nodes():
     for n in (4, 8, 16):
         L = discretize(m, n)
         k = n // 2
-        assert phi_lattice(L, k) == pytest.approx(m.phi(k / n), abs=5e-14)
+        assert phi_lattice(L, k) == pytest.approx(primitive(m, k / n),
+                                                  abs=5e-14)
 
 
 def test_phi_off_node_second_order():
@@ -106,7 +98,7 @@ def test_phi_off_node_second_order():
     errs = []
     for n in (5, 10, 20):
         L = discretize(m, n)
-        errs.append(abs(lattice_phi_at(L, x) - m.phi(x)))
+        errs.append(abs(lattice_phi_at(L, x) - primitive(m, x)))
     assert errs[0] / errs[1] >= 3.0
     assert errs[1] / errs[2] >= 3.0
 

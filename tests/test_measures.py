@@ -9,7 +9,7 @@ from scipy import integrate
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
 
-from conftest import gauss_cdf_series, simpson_oracle
+from conftest import cdf, gauss_cdf_series, primitive, simpson_oracle
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -28,71 +28,65 @@ def two_bumps(a, b, w):
 
 class TestCdf:
     def test_gaussian_symmetry(self):
-        assert bt.gaussian(1.0).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert cdf(bt.gaussian(1.0), 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_linear(self):
-        assert bt.uniform(-1, 1).cdf(0.5) == pytest.approx(0.75, abs=1e-15)
+        assert cdf(bt.uniform(-1, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_gaussian_value_against_series_oracle(self):
         # frozen from the series oracle; quadrature agrees independently
         oracle = gauss_cdf_series(1.0)
         assert oracle == pytest.approx(0.841344746068543, abs=1e-13)
         g = bt.gaussian(1.0)
-        assert g.cdf(1.0) == pytest.approx(0.841345, abs=1e-6)
-        assert g.cdf(1.0) == pytest.approx(oracle, abs=1e-12)
+        assert cdf(g, 1.0) == pytest.approx(0.841345, abs=1e-6)
+        assert cdf(g, 1.0) == pytest.approx(oracle, abs=1e-12)
         quad = simpson_oracle(
             lambda s: math.exp(-0.5 * s * s) / SQRT_2PI, -12.0, 1.0
         )
-        assert g.cdf(1.0) == pytest.approx(quad, abs=1e-9)
+        assert cdf(g, 1.0) == pytest.approx(quad, abs=1e-9)
 
     def test_monotone(self):
         g = bt.gaussian(0.7)
         xs = np.linspace(-4, 4, 101)
-        vals = g.cdf(xs)
+        vals = np.array([cdf(g, x) for x in xs])
         assert np.all(np.diff(vals) >= 0)
         assert np.all((vals >= 0) & (vals <= 1 + 1e-12))
 
 
-def mean_var(m):
-    """Mean and variance from the closed-form moments over the line."""
-    m0, m1, m2 = m.moments(-math.inf, math.inf)
-    return m1 / m0, m2 / m0 - (m1 / m0) ** 2
+def mean(m):
+    """Mean from the closed-form moments over the line."""
+    m0, m1 = m.moments(-math.inf, math.inf)
+    return m1 / m0
 
 
 class TestMeanVar:
     def test_gaussian_parameters(self):
-        mean, var = mean_var(bt.gaussian(0.25))
-        assert mean == pytest.approx(0.0, abs=1e-14)
-        assert var == pytest.approx(0.25, abs=1e-14)
+        assert mean(bt.gaussian(0.25)) == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_closed_form_and_quadrature(self):
-        mean, var = mean_var(bt.uniform(-1, 1))
-        assert mean == pytest.approx(0.0, abs=1e-14)
-        assert var == pytest.approx(1.0 / 3.0, abs=1e-14)
-        quad = simpson_oracle(lambda x: 0.5 * x * x, -1.0, 1.0)
-        assert var == pytest.approx(quad, abs=1e-11)
+        assert mean(bt.uniform(-1, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_point_like(self):
-        mean, var = mean_var(bt.triangle(0.7, 1e-3))
-        assert mean == pytest.approx(0.7, abs=1e-9)
-        assert var == pytest.approx(0.0, abs=1e-6)
+        assert mean(bt.triangle(0.7, 1e-3)) == pytest.approx(0.7, abs=1e-9)
 
 
 class TestPhi:
     def test_point_mass_limits(self):
         t = bt.triangle(0.0, 1e-3)
-        assert t.phi(1.0) == pytest.approx(1.0, abs=1e-3)
-        assert t.phi(-1.0) == 0.0
+        assert primitive(t, 1.0) == pytest.approx(1.0, abs=1e-3)
+        assert primitive(t, -1.0) == 0.0
 
     def test_uniform_closed_form(self):
         u = bt.uniform(-1, 1)
         for x in (-0.75, -0.25, 0.0, 0.5, 1.0):
-            assert u.phi(x) == pytest.approx((x + 1) ** 2 / 4, abs=1e-13)
-        assert u.phi(0.0) == pytest.approx(0.25, abs=1e-14)
+            assert primitive(u, x) == pytest.approx((x + 1) ** 2 / 4,
+                                                    abs=1e-13)
+        assert primitive(u, 0.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_vanishes_far_left(self):
-        assert bt.uniform(-1, 1).phi(-5.0) == 0.0
-        assert bt.gaussian(1.0).phi(-40.0) == pytest.approx(0.0, abs=1e-15)
+        assert primitive(bt.uniform(-1, 1), -5.0) == 0.0
+        assert primitive(bt.gaussian(1.0), -40.0) == pytest.approx(
+            0.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "measure",
@@ -109,10 +103,11 @@ class TestPhi:
         for x in (-1.5, -0.3, 0.0, 0.4, 1.2):
             cuts = [lo, *(b for b in measure.breakpoints if lo < b < x), x]
             quad = sum(
-                integrate.quad(measure.cdf, p, q, epsabs=1e-13)[0]
+                integrate.quad(lambda y: cdf(measure, y), p, q,
+                               epsabs=1e-13)[0]
                 for p, q in zip(cuts, cuts[1:]) if q > p
             )
-            assert measure.phi(x) == pytest.approx(quad, abs=1e-9)
+            assert primitive(measure, x) == pytest.approx(quad, abs=1e-9)
 
     @given(st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=25, deadline=None)
@@ -120,12 +115,12 @@ class TestPhi:
         # phi of N(0,1) is x F(x) + pdf(x)
         g = bt.gaussian(1.0)
         expect = x * gauss_cdf_series(x) + math.exp(-0.5 * x * x) / SQRT_2PI
-        assert g.phi(x) == pytest.approx(expect, abs=1e-12)
+        assert primitive(g, x) == pytest.approx(expect, abs=1e-12)
 
 
 def cost(mu0, mu1, x):
     """The transport cost at x: the gap phi(mu1) - phi(mu0) of primitives."""
-    return mu1.phi(x) - mu0.phi(x)
+    return primitive(mu1, x) - primitive(mu0, x)
 
 
 class TestCost:
@@ -163,22 +158,23 @@ class TestGammaCenter:
         m, c, d = bt.gamma_center(bt.uniform(-1, 1))
         assert c == pytest.approx(1.0, abs=1e-12)
         assert d == pytest.approx(1.0, abs=1e-12)
-        for x in (-0.5, 0.25):
-            assert m.density(x) == pytest.approx(0.5, abs=1e-12)
+        for a, b in ((-0.75, -0.25), (0.0, 0.5)):
+            assert m.moments(a, b)[0] == pytest.approx(0.5 * (b - a),
+                                                       abs=1e-12)
 
     def test_two_bump_weights(self):
         w = 1e-3
         base = two_bumps(0.25, 0.75, w)
         m, c, d = bt.gamma_center(base)
         # oracle: direct 2x2 solve on the exact interval moments
-        n0, n1, _ = base.moments(-math.inf, 0.0)
-        p0, p1, _ = base.moments(0.0, math.inf)
+        n0, n1 = base.moments(-math.inf, 0.0)
+        p0, p1 = base.moments(0.0, math.inf)
         oc, od = np.linalg.solve([[n0, p0], [n1, p1]], [1.0, 0.0])
         assert c == pytest.approx(oc, rel=1e-9)
         assert d == pytest.approx(od, rel=1e-9)
         assert c == pytest.approx(2.0, abs=1e-5)
         assert d == pytest.approx(2.0 / 3.0, abs=1e-5)
-        assert mean_var(m)[0] == pytest.approx(0.0, abs=1e-9)
+        assert mean(m) == pytest.approx(0.0, abs=1e-9)
         assert m.moments(-math.inf, 0.0)[0] == pytest.approx(0.5, abs=1e-5)
 
     def test_one_sided_rejected(self):
@@ -203,16 +199,16 @@ class TestTruncateNormalize:
     def test_uniform_restriction(self):
         t = bt.truncate_normalize(bt.uniform(-2, 2), 1.0)
         assert t.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert t.density(0.5) == pytest.approx(0.5, abs=1e-12)
-        assert t.density(1.5) == 0.0
+        assert t.moments(0.25, 0.75)[0] == pytest.approx(0.25, abs=1e-12)
+        assert t.moments(1.25, 1.75) == (0.0, 0.0)
 
     def test_gaussian_normalizer(self):
         t = bt.truncate_normalize(bt.gaussian(1.0), 1.0)
         normalizer = gauss_cdf_series(1.0) - gauss_cdf_series(-1.0)
         assert normalizer == pytest.approx(0.682689, abs=1e-6)
-        x = 0.3
-        expect = math.exp(-0.5 * x * x) / SQRT_2PI / normalizer
-        assert t.density(x) == pytest.approx(expect, rel=1e-10)
+        a, b = 0.2, 0.4
+        expect = (gauss_cdf_series(b) - gauss_cdf_series(a)) / normalizer
+        assert t.moments(a, b)[0] == pytest.approx(expect, rel=1e-10)
 
     def test_empty_window_rejected(self):
         with pytest.raises(PreconditionError):

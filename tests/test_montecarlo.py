@@ -107,7 +107,7 @@ class TestFirstIntersection:
         f = PiecewiseLinear(np.array([-9.0, 9.0]), np.full(2, 0.5), 0.5, 0.5)
         with pytest.raises(PreconditionError, match="not by a PiecewiseLinear"):
             mc.simulate_first_intersection(
-                0.0, f, mc.PathSimConfig(num_paths=100, seed=5)
+                DELTA0, f, mc.PathSimConfig(num_paths=100, seed=5)
             )
 
 
@@ -214,13 +214,25 @@ def test_stopped_law_approaches_target_with_mesh():
     )
 
     cfg = CantelliConfig(mesh_n=50, cantor_depth=6)
-    _, mu1, _ = build_problem(cfg)
-    mu1c, _, _ = gamma_center(mu1)
+    _, mu1, c = build_problem(cfg)
+    _, left, right = gamma_center(mu1)
     R = cfg.truncation_R
+    lo, hi = cfg.cantor().float_intervals().T
+
+    def mu1_cdf(x):
+        # N(0, 1) less its mass on the Cantor intervals, over c
+        x = np.asarray(x, dtype=float)[..., None]
+        on_set = (ndtr(np.minimum(hi, x)) - ndtr(np.minimum(lo, x))).sum(-1)
+        return (ndtr(x[..., 0]) - on_set) / c
+
+    F0 = mu1_cdf(0.0)
 
     def clipped_cdf(x):
+        # the two sides of 0 reweighted as gamma_center does
+        F = mu1_cdf(x)
+        F = left * np.minimum(F, F0) + right * np.maximum(F - F0, 0.0)
         x = np.asarray(x, dtype=float)
-        return np.where(x < -R, 0.0, np.where(x >= R, 1.0, mu1c.cdf(x)))
+        return np.where(x < -R, 0.0, np.where(x >= R, 1.0, F))
 
     grid = np.linspace(-4.2, 4.2, 1501)
     dists = []
@@ -239,9 +251,9 @@ def test_empirical_measure_sorted_and_streamable():
 
 @pytest.mark.parametrize("start", [
     LatticeMeasure(2, -1, np.array([0.25, 0.5, 0.25])),
-    np.full(2001, 0.5),
-    0.25,
-    1.0 + 2e-9,
+    LatticeMeasure(4, 1, np.array([1.0])),  # all mass at 0.25
+    # all mass at 1 + 2e-9, just beyond the 1e-9 tolerance
+    LatticeMeasure(500_000_000, 500_000_001, np.array([1.0])),
 ])
 def test_lattice_start_off_the_solution_lattice_rejected(start):
     # rounding such a start to the nearest cell would walk a law that
@@ -251,16 +263,23 @@ def test_lattice_start_off_the_solution_lattice_rejected(start):
         mc.simulate_first_intersection(
             start, sol, mc.PathSimConfig(num_paths=2001, seed=3)
         )
-    if isinstance(start, LatticeMeasure):
-        assert "mesh 2" in str(err.value)
+    assert f"mesh {start.mesh_n} " in str(err.value)
+
+
+@pytest.mark.parametrize("start", [np.zeros(5), 0.0])
+def test_start_other_than_a_lattice_measure_refused(start):
+    sol = solve(DELTA0, HALVES)
+    with pytest.raises(PreconditionError, match="start from a LatticeMeasure"):
+        mc.simulate_first_intersection(
+            start, sol, mc.PathSimConfig(num_paths=5, seed=0)
+        )
 
 
 def test_lattice_start_on_a_coarser_mesh_accepted():
     # a mesh-1 law lies on (1/2)Z, and its zero-mass cells do not matter
     sol = solve(LatticeMeasure(2, 0, np.array([1.0])),
                 LatticeMeasure(2, -1, np.array([0.5, 0.0, 0.5])))
-    for start in (DELTA0, LatticeMeasure(2, -1, np.array([0.0, 1.0, 0.0])),
-                  np.full(5, 1e-12)):
+    for start in (DELTA0, LatticeMeasure(2, -1, np.array([0.0, 1.0, 0.0]))):
         r = mc.simulate_first_intersection(
             start, sol, mc.PathSimConfig(num_paths=5, seed=0)
         )
@@ -316,7 +335,6 @@ def mesh16_pipeline():
     # 2 001 % 4 != 0: rows end inside a Philox block
     ("mesh16", 2001, 1, "120b47210cb1293d"),
     ("halves-lattice", 2001, 3, "034c886134cbcd99"),
-    ("halves-array", 2001, 3, "658ef40ae38c6346"),
     # no cell freezes at t = 0, so its survival row is skipped
     ("quarters-lattice", 2001, 3, "79ea1ff71cb9c5d7"),
 ])
@@ -327,7 +345,7 @@ def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
         max_time = 50.0
     else:
         target = QUARTERS if case.startswith("quarters") else HALVES
-        start = np.zeros(num) if case.endswith("array") else DELTA0
+        start = DELTA0
         sol = solve(DELTA0, target)
         max_time = 10.0
     r = mc.simulate_first_intersection(

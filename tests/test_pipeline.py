@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
@@ -14,7 +15,12 @@ from brownian_transport.pipeline import (
     run_pipeline,
 )
 
-from conftest import bisect_oracle, gauss_cdf_series, simpson_oracle
+from conftest import (
+    bisect_oracle,
+    gauss_cdf_series,
+    primitive,
+    simpson_oracle,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -23,6 +29,12 @@ def density_gap(t0, x):
     a = math.exp(-0.5 * x * x / t0) / math.sqrt(2 * math.pi * t0)
     b = math.exp(-0.5 * x * x) / SQRT_2PI
     return a - b
+
+
+def gauss_mass(a, b, var=1.0):
+    """Mass of N(0, var) on [a, b], closed form."""
+    s = math.sqrt(var)
+    return float(ndtr(b / s) - ndtr(a / s))
 
 
 class TestCrossingRadius:
@@ -94,25 +106,26 @@ class TestBuildProblem:
     def test_densities_and_mass(self):
         cfg = CantelliConfig(t0=0.5, cantor_depth=4, mesh_n=64)
         mu0, mu1, c = build_problem(cfg)
-        # off the set the start density is the variance-t0 Gaussian over c
-        x = 1.5
-        assert mu0.density(x) == pytest.approx(
-            math.exp(-x * x) / math.sqrt(math.pi) / c, rel=1e-12
+        # off the set the start law is the variance-t0 Gaussian over c, the
+        # target the standard one
+        a, b = 1.25, 1.75
+        assert mu0.moments(a, b)[0] == pytest.approx(
+            gauss_mass(a, b, 0.5) / c, rel=1e-12
         )
-        assert mu1.density(x) == pytest.approx(
-            math.exp(-0.5 * x * x) / SQRT_2PI / c, rel=1e-12
+        assert mu1.moments(a, b)[0] == pytest.approx(
+            gauss_mass(a, b) / c, rel=1e-12
         )
-        # on the set the target density vanishes and the start is the gap
+        # on the set the target has no mass and the start has the gap
         K = cfg.cantor()
-        a, b = K.intervals[0]
-        xin = float(a + b) / 2
-        assert mu1.density(xin) == 0.0
-        assert mu0.density(xin) == pytest.approx(
-            density_gap(0.5, xin) / c, rel=1e-12
+        a, b = (float(v) for v in K.intervals[0])
+        assert mu1.moments(a, b) == (0.0, 0.0)
+        gap = mu0.moments(a, b)[0]
+        assert gap == pytest.approx(
+            (gauss_mass(a, b, 0.5) - gauss_mass(a, b)) / c, rel=1e-12
         )
-        assert mu0.density(xin) > 0.0
+        assert gap > 0.0
         for m in (mu0, mu1):
-            mass, mean = m.moments(-math.inf, math.inf)[:2]
+            mass, mean = m.moments(-math.inf, math.inf)
             assert mass == pytest.approx(1.0, abs=1e-12)
             assert mean == pytest.approx(0.0, abs=1e-12)
 
@@ -124,7 +137,7 @@ class TestBuildProblem:
         oracle = 0.5 / c * simpson_oracle(
             lambda t: 1.0 / math.sqrt(2 * math.pi * t), 0.5, 1.0
         )
-        got = mu1.phi(0.0) - mu0.phi(0.0)
+        got = primitive(mu1, 0.0) - primitive(mu0, 0.0)
         assert got == pytest.approx(oracle, abs=1e-10)
         assert got == pytest.approx(
             (1 - math.sqrt(0.5)) / SQRT_2PI / c, abs=1e-12
@@ -134,14 +147,17 @@ class TestBuildProblem:
         cfg = CantelliConfig(cantor_depth=5)
         mu0, mu1, _ = build_problem(cfg)
         xs = np.linspace(-3.5, 3.5, 701)
-        vals = mu1.phi(xs) - mu0.phi(xs)
+        vals = np.array([primitive(mu1, x) - primitive(mu0, x) for x in xs])
         assert vals.min() > 0.0
 
     def test_start_density_nonnegative(self):
         cfg = CantelliConfig(cantor_depth=6)
         mu0, _, _ = build_problem(cfg)
+        # every grid cell, split at the piece edges, has nonnegative mass
         xs = np.linspace(-1.0, 1.0, 2001)
-        assert np.all(np.asarray(mu0.density(xs)) >= 0.0)
+        cuts = np.union1d(xs, [e for e in mu0.breakpoints if -1 < e < 1])
+        mass = mu0.moments_batch(cuts[:-1], cuts[1:])[0]
+        assert np.all(mass >= 0.0)
 
 
 class TestRunPipeline:
