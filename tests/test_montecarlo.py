@@ -251,9 +251,11 @@ def test_empirical_measure_sorted_and_streamable():
 
 @pytest.mark.parametrize("start", [
     LatticeMeasure(2, -1, np.array([0.25, 0.5, 0.25])),
-    LatticeMeasure(4, 1, np.array([1.0])),  # all mass at 0.25
+    # all mass at 0.25
+    pytest.param(LatticeMeasure(4, 1, np.array([1.0])), id="0.25"),
     # all mass at 1 + 2e-9, just beyond the 1e-9 tolerance
-    LatticeMeasure(500_000_000, 500_000_001, np.array([1.0])),
+    pytest.param(LatticeMeasure(500_000_000, 500_000_001, np.array([1.0])),
+                 id="1.000000002"),
 ])
 def test_lattice_start_off_the_solution_lattice_rejected(start):
     # rounding such a start to the nearest cell would walk a law that
