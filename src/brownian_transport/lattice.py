@@ -85,11 +85,12 @@ class LatticeMeasure:
                 fh.write(f"{k},{x:.17g},{m:.17g}\n")
 
     @classmethod
-    def from_csv(cls, path, mesh_n=None):
-        """Read a `to_csv` file.  The mesh is read off the rows at nonzero
-        positions, unless ``mesh_n`` is given; a file whose rows all sit at
-        position 0 does not state its mesh and reads as mesh 1."""
-        cells, masses, mesh = [], [], mesh_n
+    def from_csv(cls, path):
+        """Read a `to_csv` file.  The mesh is read off the first row at a
+        nonzero position, and every row's position must be its cell index
+        over that mesh; a file whose rows all sit at position 0 does not
+        state its mesh and reads as mesh 1."""
+        cells, positions, masses, linenos = [], [], [], []
         try:
             fh = open(path)
         except OSError as exc:
@@ -108,21 +109,26 @@ class LatticeMeasure:
                 try:
                     k, x, m = line.strip().split(",")
                     cells.append(int(k))
+                    positions.append(float(x))
                     masses.append(float(m))
-                    if mesh is None:
-                        x = float(x)
-                        if x != 0.0:
-                            mesh = round(int(k) / x)
                 except ValueError as exc:
                     raise PreconditionError(
                         f"{path} line {lineno}: expected "
                         f"cell_index,position,mass, got {line.strip()!r}"
                     ) from exc
+                linenos.append(lineno)
         if not cells:
             raise PreconditionError(f"{path}: lattice CSV has no rows")
-        if mesh is None:
-            mesh = 1
+        mesh = max(next((round(k / x) for k, x in zip(cells, positions)
+                         if x != 0.0), 1), 1)
         cells = np.asarray(cells)
+        off = np.abs(np.asarray(positions) - cells / mesh) > 1e-9
+        if off.any():
+            i = int(np.argmax(off))
+            raise PreconditionError(
+                f"{path} line {linenos[i]}: position {positions[i]!r} is not "
+                f"cell_index / mesh = {cells[i]}/{mesh}"
+            )
         if np.any(np.diff(cells) != 1):
             raise PreconditionError("lattice CSV cells must be consecutive")
         return cls(int(mesh), int(cells[0]), np.asarray(masses, dtype=float))

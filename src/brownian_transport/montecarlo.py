@@ -17,10 +17,20 @@ exactly ``Generator.random``'s double, and the coin ``random() < 0.5``
 is the top bit of w being clear.  A step at which no cell freezes needs
 no survival uniform, so its row is skipped by advancing the counter
 instead of drawing it; the stream stays where drawing would leave it.
+
+Since no path reads another path's words, the walk runs in chunks of
+WALK_CHUNK paths.  Chunk [lo, hi) owns a generator keyed by the seed,
+reads words lo..hi-1 of each row and skips the rest, so it sees the
+words the whole population would.  The chunks run in a thread pool with
+one worker per available CPU (drawing words and the integer array
+operations release the GIL) and give the same sample in any order.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -120,38 +130,31 @@ def _start_cells(start, num_paths, rng, n):
     return np.rint((start.offset + cells) / start.mesh_n * n).astype(np.int64)
 
 
-def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
-    """Sample (X_T, T) for random-walk paths stopped by a transport rule.
+WALK_CHUNK = 1 << 16  # paths per walk chunk: its rows stay in cache
 
-    ``stopping`` is a TransportSolution; anything else is refused.  Paths
-    walk the solution's lattice (1/n)Z and stop by its discrete rule, with
-    survival probabilities at freshly frozen cells.  The start is a
-    LatticeMeasure whose mass lies on that lattice.  Each step t takes one
-    row of num_paths raw words for the survival uniforms, skipped without
-    drawing when no cell freezes at t, and one row for the +-1 coins; only
-    paths still running are moved.  Paths still running at max_time are
-    counted; more than 0.1 percent of them fails the run.
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _walk_chunk(lo, hi, pos, T, g, q, freeze_steps, max_steps, seed):
+    """Walk paths lo..hi-1 until they stop; return the ids still running.
+
+    The chunk's generator starts past the start row at word lo, draws the
+    chunk's hi - lo words of every row and skips the other words of the
+    row.  Only the slices [lo, hi) of the start cells ``pos`` and of the
+    stop steps ``T`` are written: ``pos`` ends at the stop cells.
     """
-    if not isinstance(stopping, TransportSolution):
-        raise PreconditionError(
-            f"paths are stopped by a TransportSolution, not by a "
-            f"{type(stopping).__name__}"
-        )
-    rng = _rng(cfg.seed)
-    bits = rng.bit_generator
-    n = stopping.mesh_n
-    num = cfg.num_paths
-    pos = _start_cells(start, num, rng, n)
-    pos -= stopping.offset
-    g = stopping.freeze_step
-    q = stopping.survival
-    if np.any(pos < 0) or np.any(pos >= g.size):
-        raise PreconditionError("start mass outside the solved window")
-    freeze_steps = set(g.tolist())
-    max_steps = int(math.ceil(cfg.max_time * n * n))
-    T = np.zeros(num, dtype=np.int64)
-    # live paths: ids and positions; pos keeps the stop positions
-    ids = np.arange(num)
+    num = pos.size
+    m = hi - lo
+    bits = np.random.Philox(key=np.uint64(seed))
+    _skip_raw(bits, num + lo)
+    pos, T = pos[lo:hi], T[lo:hi]
+    # running paths: ids in the chunk and positions
+    ids = np.arange(m)
     p = pos.copy()
     for t in range(max_steps + 1):
         if ids.size == 0:
@@ -163,10 +166,10 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
         stop = g[pc] < t
         if t in freeze_steps:
             due = np.flatnonzero(~stop)
-            row = bits.random_raw(num)
+            row = bits.random_raw(m)
             u = (row[ids[cand[due]]] >> 11) * 2.0**-53
-            del row
             stop[due] = u >= q[pc[due]]
+            _skip_raw(bits, num - m)
         else:
             _skip_raw(bits, num)
         out = cand[stop]
@@ -177,20 +180,66 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
             keep[out] = False
             ids = ids[keep]
             p = p[keep]
-        step = bits.random_raw(num).view(np.int64)
-        if ids.size < num:  # else every path runs, in row order
+        step = bits.random_raw(m).view(np.int64)
+        _skip_raw(bits, num - m)
+        if ids.size < m:  # else every path runs, in row order
             step = step[ids]
         step >>= 63  # 0 where random() < 0.5 (a step up), else -1
         step |= 1
         p += step
     pos[ids] = p
-    exceeded = ids.size
+    return ids + lo
+
+
+def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
+    """Sample (X_T, T) for random-walk paths stopped by a transport rule.
+
+    ``stopping`` is a TransportSolution; anything else is refused.  Paths
+    walk the solution's lattice (1/n)Z and stop by its discrete rule, with
+    survival probabilities at freshly frozen cells.  The start is a
+    LatticeMeasure whose mass lies on that lattice.  Each step t takes one
+    row of num_paths raw words for the survival uniforms, skipped without
+    drawing when no cell freezes at t, and one row for the +-1 coins; only
+    paths still running are moved.  The paths are walked in chunks of
+    WALK_CHUNK (``_walk_chunk``), on a pool of one thread per available
+    CPU, inline when there is one chunk or one CPU; the sample does not
+    depend on either.  Paths still running at max_time are counted; more
+    than 0.1 percent of them fails the run.
+    """
+    if not isinstance(stopping, TransportSolution):
+        raise PreconditionError(
+            f"paths are stopped by a TransportSolution, not by a "
+            f"{type(stopping).__name__}"
+        )
+    n = stopping.mesh_n
+    num = cfg.num_paths
+    pos = _start_cells(start, num, _rng(cfg.seed), n)
+    pos -= stopping.offset
+    g = stopping.freeze_step
+    if np.any(pos < 0) or np.any(pos >= g.size):
+        raise PreconditionError("start mass outside the solved window")
+    T = np.zeros(num, dtype=np.int64)
+    walk = partial(
+        _walk_chunk, pos=pos, T=T, g=g, q=stopping.survival,
+        freeze_steps=set(g.tolist()),
+        max_steps=int(math.ceil(cfg.max_time * n * n)), seed=cfg.seed,
+    )
+    los = range(0, num, WALK_CHUNK)
+    his = [min(lo + WALK_CHUNK, num) for lo in los]
+    workers = min(_cpus(), len(los))
+    if workers == 1:
+        running = list(map(walk, los, his))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            running = list(pool.map(walk, los, his))
+    running = np.concatenate(running)
+    exceeded = running.size
     if exceeded > 0.001 * num:
         raise NonTerminationError(
             f"{exceeded} of {num} paths exceeded max_time"
         )
     alive = np.zeros(num, dtype=bool)
-    alive[ids] = True
+    alive[running] = True
     pos += stopping.offset
     x = pos / n
     times = T / float(n * n)

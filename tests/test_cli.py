@@ -211,6 +211,19 @@ def test_solve_short_row_exits_2(tmp_path, capsys):
     assert "mu0.csv line 3" in err and "'1,1'" in err
 
 
+def test_solve_position_off_its_cell_exits_2(tmp_path, capsys):
+    # the mesh read off the first row, 3, puts cell 1 at 1/3, not 0.3
+    LatticeMeasure(1, 0, np.array([1.0])).to_csv(tmp_path / "a.csv")
+    (tmp_path / "b.csv").write_text(
+        "cell_index,position,mass\n-1,-0.3,0.5\n0,0,0\n1,0.3,0.5\n")
+    code = main(["solve", f"mu0={tmp_path / 'a.csv'}",
+                 f"mu1={tmp_path / 'b.csv'}", f"out_dir={tmp_path / 'sol'}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "b.csv line 2" in err and "-1/3" in err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_cantor_command(tmp_path):
     code = main([
         "cantor", "r=0.5", "depth=6", "samples=300", "seed=1",

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ def mesh16_pipeline():
     return run_pipeline(CantelliConfig(mesh_n=16))
 
 
-@pytest.mark.parametrize("case, num, seed, digest", [
+PINNED_WALKS = [
     # criterion 10's instance: start words drawn, rows of 10^4 words
     ("mesh16", 10_000, 0, "87908b1c02f195ec"),
     # 2 001 % 4 != 0: rows end inside a Philox block
@@ -339,9 +341,10 @@ def mesh16_pipeline():
     ("halves-lattice", 2001, 3, "034c886134cbcd99"),
     # no cell freezes at t = 0, so its survival row is skipped
     ("quarters-lattice", 2001, 3, "79ea1ff71cb9c5d7"),
-])
-def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
-    # positions, times and exceeded count of fixed walks, bit for bit
+]
+
+
+def _pinned_walk(mesh16_pipeline, case, num, seed):
     if case == "mesh16":
         start, sol = mesh16_pipeline.mu0n, mesh16_pipeline.solution
         max_time = 50.0
@@ -350,8 +353,90 @@ def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
         start = DELTA0
         sol = solve(DELTA0, target)
         max_time = 10.0
-    r = mc.simulate_first_intersection(
+    return mc.simulate_first_intersection(
         start, sol, mc.PathSimConfig(num_paths=num, seed=seed,
                                      max_time=max_time)
     )
+
+
+@pytest.mark.parametrize("case, num, seed, digest", PINNED_WALKS)
+def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
+    # positions, times and exceeded count of fixed walks, bit for bit
+    r = _pinned_walk(mesh16_pipeline, case, num, seed)
     assert _walk_digest(r) == digest
+
+
+def _affinity(monkeypatch, count):
+    monkeypatch.setattr(mc.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+# chunks of 1, 7 and 777 paths end inside Philox blocks.  A mesh-16
+# chunk walks about 200 steps at a fixed cost per step, so the mesh-16
+# walks are split into at most 300 chunks here
+CHUNKED_WALKS = [
+    (chunk, *walk) for chunk in (1, 7, 300, 777) for walk in PINNED_WALKS
+    if walk[0] != "mesh16" or -(-walk[1] // chunk) <= 300
+]
+
+
+@pytest.mark.parametrize("chunk, case, num, seed, digest", CHUNKED_WALKS)
+def test_pinned_walk_independent_of_chunk_size(
+        monkeypatch, mesh16_pipeline, chunk, case, num, seed, digest):
+    _affinity(monkeypatch, 2)
+    monkeypatch.setattr(mc, "WALK_CHUNK", chunk)
+    r = _pinned_walk(mesh16_pipeline, case, num, seed)
+    assert _walk_digest(r) == digest
+
+
+@pytest.mark.parametrize("case, num, seed, digest", PINNED_WALKS)
+def test_pinned_walk_on_one_cpu_runs_inline(
+        monkeypatch, mesh16_pipeline, case, num, seed, digest):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    _affinity(monkeypatch, 1)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(mc, "WALK_CHUNK", 777)
+    r = _pinned_walk(mesh16_pipeline, case, num, seed)
+    assert _walk_digest(r) == digest
+
+
+def test_walk_chunks_under_fast_thread_switching(monkeypatch,
+                                                 mesh16_pipeline):
+    # more workers than cores, switching threads every microsecond: each
+    # chunk writes its own slices of the shared arrays, so the sample holds
+    _affinity(monkeypatch, 8)
+    monkeypatch.setattr(mc, "WALK_CHUNK", 300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = _pinned_walk(mesh16_pipeline, "mesh16", 10_000, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _walk_digest(r) == PINNED_WALKS[0][3]
+
+
+def test_budget_overrun_message_independent_of_chunks(monkeypatch):
+    sol = solve(DELTA0, QUARTERS)
+    cfg = mc.PathSimConfig(num_paths=1000, seed=5, max_time=1.0)
+    _affinity(monkeypatch, 2)
+    messages = []
+    for chunk in (mc.WALK_CHUNK, 7):
+        monkeypatch.setattr(mc, "WALK_CHUNK", chunk)
+        with pytest.raises(NonTerminationError) as err:
+            mc.simulate_first_intersection(DELTA0, sol, cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("of 1000 paths exceeded max_time")
+
+
+def test_walk_pool_leaves_no_threads(monkeypatch):
+    _affinity(monkeypatch, 2)
+    monkeypatch.setattr(mc, "WALK_CHUNK", 300)
+    before = threading.active_count()
+    mc.simulate_first_intersection(
+        DELTA0, solve(DELTA0, HALVES),
+        mc.PathSimConfig(num_paths=2001, seed=3),
+    )
+    assert threading.active_count() == before
