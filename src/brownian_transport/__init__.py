@@ -54,6 +54,7 @@ from .solver import (
     init_state,
     solve,
     solve_batch,
+    start_state,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +98,7 @@ __all__ = [
     "simulate_first_intersection",
     "solve",
     "solve_batch",
+    "start_state",
     "triangle",
     "truncate_normalize",
     "uniform",

@@ -3,7 +3,14 @@
 Each criterion function returns a CriterionResult with a pass flag and a
 one-line detail string; run_all executes them in order against a shared
 cache of pipeline runs and records each one's wall time.  Tolerances are
-fixed here, not configurable.
+fixed here, not configurable, and a count below 1 (paths, instances,
+samples, cells) is refused, since a criterion over nothing would pass.
+
+Criterion 1 works on the integer 1/8-grid vectors of its enumeration:
+`width_batches` builds each batch's step-0 state in one `start_state`
+pass over (rows x cells) arrays, `solve_by_width` solves the batches,
+the scalar brute-force oracle checks every instance step by step, and
+the expected-time reference is the exact variance gap of the integers.
 """
 
 import itertools
@@ -22,7 +29,7 @@ from .errors import ConsistencyError, NonTerminationError, PreconditionError
 from .lattice import LatticeMeasure
 from .measures import build_cantor, cantor_gap_constants
 from .pipeline import CantelliConfig, f1_asymptotics_report, run_pipeline
-from .solver import InvariantCheck, init_state, solve, solve_batch
+from .solver import InvariantCheck, solve, solve_batch, start_state
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,16 @@ class AcceptanceContext:
         self.gap_samples = int(gap_samples)
         self.sim_mesh = int(sim_mesh)
         self.enumeration_cells = int(enumeration_cells)
+        # a criterion over zero instances, samples or paths would pass on
+        # no evidence
+        for name in ("paths", "random_instances", "gap_samples",
+                     "enumeration_cells"):
+            if getattr(self, name) < 1:
+                raise PreconditionError(
+                    f"{name} must be at least 1, got {getattr(self, name)}"
+                )
+        if not self.meshes:
+            raise PreconditionError("meshes must name at least one mesh")
         self._pipelines = {}
         self.et_residuals = []  # (label, residual) from every solved instance
 
@@ -72,6 +89,10 @@ class AcceptanceContext:
 
 def _eighth_vectors(cells):
     """All mass vectors on `cells` cells with masses k/8 summing to 1."""
+    if cells < 1:
+        raise PreconditionError(f"cells must be at least 1, got {cells}")
+    if cells == 1:
+        return [(8,)]
     out = []
     for comb in itertools.combinations(range(8 + cells - 1), cells - 1):
         parts, prev = [], -1
@@ -130,53 +151,65 @@ def enumerate_instances(cells=7):
 BATCH_ROWS = 256  # rows per criterion-1 batch, which bounds its memory
 
 
-def solve_by_width(pairs, max_steps=100_000):
-    """Solve pairs of 1/8-grid mass vectors from `enumerate_instances` in
-    batches of equal window width and at most BATCH_ROWS rows, with the
-    invariant check at every step.
+def width_batches(pairs):
+    """Step-0 states of pairs of 1/8-grid mass vectors from
+    `enumerate_instances`, in batches of equal window width and at most
+    BATCH_ROWS rows.
 
-    Yields, batch by batch, each instance's index in `pairs`, its two
-    lattice measures, its step-0 state, its solution and its live mass at
-    every step (the rows of one array).
+    Yields each batch's indices into `pairs` and its state, built in one
+    `start_state` pass at mesh 1 on the window from cell 0 to the last
+    cell of the target, which the translation canon makes the target's
+    support hull.
     """
     by_width = defaultdict(list)
     for k, (_, v1) in enumerate(pairs):
-        # the window is the target's support hull, which the translation
-        # canon starts at cell 0
-        by_width[max(i for i, m in enumerate(v1) if m)].append(k)
-    for group in by_width.values():
+        by_width[max(i for i, m in enumerate(v1) if m) + 1].append(k)
+    for w, group in by_width.items():
         for first in range(0, len(group), BATCH_ROWS):
             batch = group[first:first + BATCH_ROWS]
-            measures = [
-                tuple(LatticeMeasure(1, 0, np.array(v, dtype=float) / 8.0)
-                      for v in pairs[k])
-                for k in batch
-            ]
-            states = [init_state(m0, m1) for m0, m1 in measures]
-            check, rows, lives = InvariantCheck(), [], []
+            v = np.array([[pairs[k][0][:w], pairs[k][1][:w]] for k in batch])
+            yield batch, start_state(1, 0, v[:, 0] / 8.0, v[:, 1] / 8.0)
 
-            def observe(state):
-                check(state)
-                rows.append(state.rows)
-                lives.append(state.live.copy())
 
-            sols = solve_batch(states, max_steps=max_steps, observe=observe)
-            # regroup the snapshots by instance, in step order; an instance
-            # is seen at steps 0 to its last, the terminating one included
-            order = np.argsort(np.concatenate(rows), kind="stable")
-            ends = np.cumsum([sol.steps + 1 for sol in sols])[:-1]
-            histories = np.split(np.concatenate(lives)[order], ends)
-            yield from zip(batch, measures, states, sols, histories)
+def solve_by_width(pairs, max_steps=100_000):
+    """Solve pairs of 1/8-grid mass vectors from `enumerate_instances` as
+    the batches of `width_batches`, with the invariant check at every
+    step.
+
+    Yields, batch by batch, each instance's index in `pairs`, its start
+    and target masses on its window, its solution and its live mass at
+    every step (the rows of one array).
+    """
+    for batch, state in width_batches(pairs):
+        live, target = state.live.copy(), state.target
+        check, rows, lives = InvariantCheck(), [], []
+
+        def observe(state):
+            check(state)
+            rows.append(state.rows)
+            lives.append(state.live.copy())
+
+        sols = solve_batch(state, max_steps=max_steps, observe=observe)
+        # regroup the snapshots by instance, in step order; an instance is
+        # seen at steps 0 to its last, the terminating one included
+        order = np.argsort(np.concatenate(rows), kind="stable")
+        ends = np.cumsum([sol.steps + 1 for sol in sols])[:-1]
+        histories = np.split(np.concatenate(lives)[order], ends)
+        yield from zip(batch, live, target, sols, histories)
 
 
 def criterion_1(ctx: AcceptanceContext):
     pairs = enumerate_instances(ctx.enumeration_cells)
+    # the variance gap, exactly: the means agree and the masses are 1, so
+    # Var1 - Var0 = sum of i^2 (v1_i - v0_i) / 8 over the cells i
+    v = np.array(pairs)
+    sq = np.arange(ctx.enumeration_cells) ** 2
+    var_gap = ((v[:, 1] - v[:, 0]) @ sq) / 8.0
     gaps = [0.0] * len(pairs)
     worst = 0.0
     worst_stop = 0.0
-    for k, (m0, m1), start, sol, live_history in solve_by_width(pairs):
-        ref = exhaustive_transport(start.live, start.target,
-                                   max_steps=100_000)
+    for k, live, target, sol, live_history in solve_by_width(pairs):
+        ref = exhaustive_transport(live, target, max_steps=100_000)
         steps = min(len(live_history), len(ref["walking_history"]))
         worst = max(worst, float(np.abs(
             live_history[:steps]
@@ -186,7 +219,7 @@ def criterion_1(ctx: AcceptanceContext):
             worst_stop,
             float(np.abs(sol.stopped.masses - np.asarray(ref["parked"])).max()),
         )
-        gaps[k] = abs(sol.expected_time - (m1.variance() - m0.variance()))
+        gaps[k] = abs(sol.expected_time - float(var_gap[k]))
     ctx.et_residuals.extend(
         (f"enum{v0}{v1}", gap) for (v0, v1), gap in zip(pairs, gaps)
     )

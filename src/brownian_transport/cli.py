@@ -241,6 +241,11 @@ def _cmd_verify(params):
 def _cmd_cantor(params):
     depth = int(params.get("depth", 8))
     if "lo" in params or "hi" in params:
+        missing = [key for key in ("lo", "hi") if key not in params]
+        if missing:
+            raise PreconditionError(
+                f"cantor needs both lo= and hi=; {missing[0]}= is missing"
+            )
         lo, hi = float(params["lo"]), float(params["hi"])
     else:
         r = float(params.get("r", 0.5))

@@ -367,6 +367,8 @@ def cantor_gap_constants(K, samples, seed=0, min_length=None):
     """
     if not K.intervals:
         raise PreconditionError("empty Cantor set")
+    if samples < 1:  # a minimum over no interval would read inf
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     lo, hi = float(K.ambient[0]), float(K.ambient[1])
     span = hi - lo
     finest = float(min(b - a for a, b in K.intervals))

@@ -11,6 +11,7 @@ function with X + phi(X) * Y Gaussian.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,12 @@ def run_pipeline(cfg: CantelliConfig | None = None,
     nodes is the untruncated one less its value at -R.  Then it solves
     the lattice transport and returns f and phi = sqrt(C - f) with C just
     above the largest stopping time.
+
+    ``diagnostics`` records, besides the centring constants and solver
+    counts, the wall seconds of each phase (``phase_s``: build, centre,
+    discretize, solve, assemble) and the solver's ``steps_per_s``.
     """
+    marks = [time.perf_counter()]  # phase boundaries
     cfg = cfg or CantelliConfig()
     cantor = cfg.cantor()
     finest = float(min(b - a for a, b in cantor.intervals))
@@ -198,12 +204,15 @@ def run_pipeline(cfg: CantelliConfig | None = None,
             f"{2.0 / cfg.mesh_n:.3g}); increase cantor_depth or lower mesh_n"
         )
     mu0, mu1, c = build_problem(cfg, cantor)
+    marks.append(time.perf_counter())
 
     R = cfg.truncation_R
     mu0c, c0, d0 = gamma_center(mu0)
     mu1c, c1, d1 = gamma_center(mu1)
+    marks.append(time.perf_counter())
     mu0n = discretize(mu0c, cfg.mesh_n, clip=R)
     mu1n = discretize(mu1c, cfg.mesh_n, clip=R)
+    marks.append(time.perf_counter())
 
     try:
         sol = solve(mu0n, mu1n, max_steps=max_steps)
@@ -212,6 +221,7 @@ def run_pipeline(cfg: CantelliConfig | None = None,
             f"{exc}; the truncated problem violates the transport "
             "hypotheses, try a larger truncation_R or a finer mesh"
         ) from exc
+    marks.append(time.perf_counter())
 
     level = 1.0 - cfg.t0
     f1 = extend_f(sol, left=level, right=level)
@@ -224,6 +234,9 @@ def run_pipeline(cfg: CantelliConfig | None = None,
     phi = SquareRootGap(C=C, f=f)
 
     node_gap = float(np.abs(np.diff(f1.ys)).max())
+    marks.append(time.perf_counter())
+    phase_s = dict(zip(("build", "centre", "discretize", "solve", "assemble"),
+                       np.diff(marks).tolist()))
     diagnostics = {
         "c": c,
         "gamma_c0": c0, "gamma_d0": d0, "gamma_c1": c1, "gamma_d1": d1,
@@ -231,6 +244,9 @@ def run_pipeline(cfg: CantelliConfig | None = None,
         "expected_time": sol.expected_time,
         "max_time": sol.max_time,
         "modulus_step": node_gap,  # largest f1 jump between adjacent nodes
+        # wall times, kept out of every written file
+        "phase_s": phase_s,
+        "steps_per_s": sol.steps / phase_s["solve"],
     }
     return CantelliResult(
         cantor=cantor,

@@ -24,10 +24,13 @@ mass equal to the target measure.
 A `SolverState` holds one instance, with arrays of shape (cells,), or a
 batch of instances of equal window width, with arrays of shape
 (rows, cells).  Rows may differ in mesh and offset, since the step works
-in integer lattice units.  `_advance` is the one stepping kernel; it acts
-along the last axis, so one instance is the one-row case.  `_run` is the
-one run loop: `solve` runs it on one instance and `solve_batch` on a
-stack of `init_state` results.  A row leaves the batch at the step at
+in integer lattice units.  `start_state` is the one set-up: it checks the
+transport hypotheses and builds the cost profile row by row from start
+and target masses on a common window, and `init_state` is its one-row
+case for two `LatticeMeasure`s.  `_advance` is the one stepping kernel;
+it acts along the last axis, so one instance is the one-row case.
+`_run` is the one run loop: `solve` runs it on one instance and
+`solve_batch` on a batch state.  A row leaves the batch at the step at
 which its live mass falls to LIVE_TOL, because stepping it further would
 move its residual (about 1e-13) into `stopped`; so every row of a batch
 ends bit-identical to `solve` on its instance.  The loop hands the state
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, NonTerminationError, PreconditionError
-from .lattice import LatticeMeasure, phi_lattice
+from .lattice import LatticeMeasure
 
 PHI_CLAMP = -1e-12  # round-off absorbed silently
 PHI_ABORT = -1e-9  # beyond this the run is inconsistent
@@ -133,76 +136,124 @@ class SolverState:
 def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
     """Validate the transport hypotheses and set up the step-0 state.
 
-    Requirements checked cell by cell: equal meshes, equal means, a
-    nonnegative cost profile, and a target that is positive everywhere
-    between the first and last cell of the start measure.
+    Places both measures on their joint support window and runs the
+    checks of `start_state` on it, after checking that the meshes agree.
     """
     if mu0n.mesh_n != mu1n.mesh_n:
         raise PreconditionError(
             f"mesh mismatch: {mu0n.mesh_n} vs {mu1n.mesh_n}"
         )
-    gap = mu0n.mean() - mu1n.mean()
-    if abs(gap) > 1e-9:
-        raise PreconditionError(f"means differ by {gap:.3e} (tolerance 1e-9)")
-    if abs(mu0n.total_mass - mu1n.total_mass) > 1e-9:
-        raise PreconditionError("total masses differ")
+    spans = [m.support_cells() for m in (mu0n, mu1n)]
+    lo = min(a for a, _ in spans)
+    w = max(b for _, b in spans) - lo + 1
+    live, target = np.zeros(w), np.zeros(w)
+    for out, m, (a, b) in zip((live, target), (mu0n, mu1n), spans):
+        out[a - lo : b - lo + 1] = m.masses[a - m.offset : b - m.offset + 1]
+    return start_state(mu0n.mesh_n, lo, live, target)
 
-    lo0, hi0 = mu0n.support_cells()
-    lo1, hi1 = mu1n.support_cells()
-    if lo0 < lo1 or hi0 > hi1:
+
+def start_state(mesh_n, offset, live, target) -> SolverState:
+    """The step-0 state of one instance or of a batch, from its start
+    (``live``) and target masses on a common window of cells offset,
+    offset + 1, ... that holds both supports.
+
+    The masses have shape (cells,) for one instance, with integer
+    ``mesh_n`` and ``offset``, or (rows, cells) for a batch, with one mesh
+    and one offset per row (a scalar applies to every row).  The state
+    takes the two arrays as its own, and the run loop steps ``live`` in
+    place.  Checked per row, in this order: both measures carry mass,
+    equal means and total masses (within 1e-9), a start support inside
+    the target's support hull, a target positive strictly inside the
+    start support, a cost that vanishes at both window edges within the
+    mean tolerance (and is then set to 0 there) and is nowhere below
+    PHI_CLAMP.  In a batch the error names the failing row's instance.
+    """
+    live = np.asarray(live, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if live.shape != target.shape or live.ndim not in (1, 2) \
+            or live.shape[-1] == 0:
         raise PreconditionError(
-            "start measure support must lie inside the target support hull"
+            "start and target masses must share a shape (cells,) or "
+            f"(rows, cells), got {live.shape} and {target.shape}"
         )
-    if hi0 - lo0 >= 2:
-        tgt = mu1n.masses[lo0 + 1 - mu1n.offset : hi0 - mu1n.offset]
-        zero = np.nonzero(tgt <= 0.0)[0]
-        if zero.size:
-            cell = lo0 + 1 + int(zero[0])
-            raise PreconditionError(
-                f"target mass vanishes at cell {cell} strictly inside the "
-                "start support"
-            )
+    batch = live.ndim == 2
+    rows, w = (live.shape[0] if batch else 1), live.shape[-1]
+    state = SolverState(
+        mesh_n=np.full(rows, mesh_n, dtype=np.int64) if batch
+        else int(mesh_n),
+        offset=np.full(rows, offset, dtype=np.int64) if batch
+        else int(offset),
+        t=0,
+        live=live,
+        stopped=np.zeros_like(live),
+        phi=np.empty_like(live),
+        freeze_step=np.full(live.shape, -1, dtype=np.int64),
+        survival=np.full(live.shape, np.nan),
+        target=target,
+        rows=np.arange(rows) if batch else None,
+    )
 
-    lo, hi = min(lo0, lo1), max(hi0, hi1)
-    mu0t, mu1t = mu0n.trimmed(), mu1n.trimmed()
-    # the cost profile in integer lattice units over the joint window
-    cells = np.arange(lo, hi + 1)
-    full = mu0n.mesh_n * (phi_lattice(mu1t, cells) - phi_lattice(mu0t, cells))
-    w = cells.size
+    def check(bad, message):
+        """Raise for the first row where `bad` holds, worded by
+        ``message(row)``."""
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i = int(hit[0])
+            raise PreconditionError(message(i) + state._name(i))
+
+    # one row per instance from here on: views of the state's arrays
+    m0, m1, phi = (a.reshape(rows, w) for a in (live, target, state.phi))
+    n = np.reshape(state.mesh_n, (rows, 1))
+    first = np.reshape(state.offset, (rows, 1))
+    cells = first + np.arange(w)  # absolute cell indices
+    check(~((m0 > 0.0).any(-1) & (m1 > 0.0).any(-1)),
+          lambda i: "measure has no mass")
+    mass0, mass1 = m0.sum(-1), m1.sum(-1)
+    gap = (cells / n * m0).sum(-1) / mass0 - (cells / n * m1).sum(-1) / mass1
+    check(np.abs(gap) > 1e-9,
+          lambda i: f"means differ by {gap[i]:.3e} (tolerance 1e-9)")
+    check(np.abs(mass0 - mass1) > 1e-9, lambda i: "total masses differ")
+
+    # first and last window cell of each support
+    lo0, lo1 = (np.argmax(m > 0.0, axis=-1) for m in (m0, m1))
+    hi0, hi1 = (w - 1 - np.argmax(m[:, ::-1] > 0.0, axis=-1)
+                for m in (m0, m1))
+    check((lo0 < lo1) | (hi0 > hi1), lambda i: (
+        "start measure support must lie inside the target support hull"))
+    k = np.arange(w)
+    vanish = (k > lo0[:, None]) & (k < hi0[:, None]) & (m1 <= 0.0)
+    check(vanish.any(-1), lambda i: (
+        f"target mass vanishes at cell {cells[i, np.argmax(vanish[i])]} "
+        "strictly inside the start support"))
+
+    # the cost profile n (Phi1 - Phi0) in integer lattice units, where
+    # n Phi(k) = k (mass below k) - (first moment below k, in cells): two
+    # exclusive prefix sums along the cell axis
+    def primitive(m):
+        acc = np.zeros((2, rows, w + 1))
+        np.cumsum(m, axis=-1, out=acc[0, :, 1:])
+        np.cumsum(cells * m, axis=-1, out=acc[1, :, 1:])
+        return (cells * acc[0, :, :w] - acc[1, :, :w]) / n
+
+    phi[...] = n * (primitive(m1) - primitive(m0))
     # both window edges carry cost n * (mean gap), zero for exactly matched
     # inputs; values inside the mean tolerance are forced to zero so the
     # edges absorb, larger residues mean the window cannot hold the transport
-    edge_tol = 1.01e-9 * mu0n.mesh_n + 1e-12
-    for k in (0, full.size - 1):
-        if abs(full[k]) > edge_tol:
-            raise PreconditionError(
-                f"cost at window edge cell {lo + k} is {full[k]:.3e}; "
-                "center the measures more precisely"
-            )
-        full[k] = 0.0
-    neg = np.nonzero(full < PHI_CLAMP)[0]
-    if neg.size:
-        cell = lo + int(neg[0])
-        raise PreconditionError(
-            f"cost profile is negative at cell {cell}: {full[cell - lo]:.3e}"
-        )
-    full = np.maximum(full, 0.0)
-
-    live = np.zeros(w)
-    live[lo0 - lo : hi0 - lo + 1] = mu0t.masses
-    target = np.zeros(w)
-    target[lo1 - lo : hi1 - lo + 1] = mu1t.masses
-    return SolverState(
-        mesh_n=mu0n.mesh_n,
-        offset=lo,
-        t=0,
-        live=live,
-        stopped=np.zeros(w),
-        phi=full,
-        freeze_step=np.full(w, -1, dtype=np.int64),
-        survival=np.full(w, np.nan),
-        target=target,
-    )
+    edge_tol = 1.01e-9 * n + 1e-12
+    edges = phi[:, ::max(w - 1, 1)]  # cells 0 and w - 1 (one cell if w = 1)
+    off = np.abs(edges) > edge_tol
+    check(off.any(-1), lambda i: (
+        f"cost at window edge cell "
+        f"{cells[i, 0] + (w - 1) * int(np.argmax(off[i]))} is "
+        f"{edges[i, np.argmax(off[i])]:.3e}; center the measures more "
+        "precisely"))
+    edges[...] = 0.0
+    neg = phi < PHI_CLAMP
+    check(neg.any(-1), lambda i: (
+        f"cost profile is negative at cell {cells[i, np.argmax(neg[i])]}: "
+        f"{phi[i, np.argmax(neg[i])]:.3e}"))
+    np.maximum(phi, 0.0, out=phi)
+    return state
 
 
 def _advance(state: SolverState):
@@ -477,16 +528,21 @@ def solve(
     return _run(init_state(mu0n, mu1n), max_steps, observe)[0]
 
 
-def solve_batch(states, max_steps=None, observe=None) -> list:
-    """Solve `init_state` results of equal window width as one batch.
+def solve_batch(state: SolverState, max_steps=None, observe=None) -> list:
+    """Solve a step-0 batch state, from `start_state` or
+    `SolverState.stack`, and return one solution per row, in row order.
 
-    Returns their solutions in the given order, each bit-identical to
-    `solve` on its instance; the given states are left as they are.
+    Each solution is bit-identical to `solve` on its instance.  The run
+    loop steps the state in place and drops its finished rows.
     ``max_steps`` and ``observe`` act as in `solve`, per row, and the
     observer sees the batch state, whose ``rows`` name the instances
     still running.  An error names the instance of the failing row.
     """
-    return _run(SolverState.stack(states), max_steps, observe)
+    if state.rows is None:
+        raise PreconditionError(
+            "solve_batch takes a batch state; solve one instance with solve"
+        )
+    return _run(state, max_steps, observe)
 
 
 @dataclass(frozen=True)

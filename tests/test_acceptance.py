@@ -19,6 +19,7 @@ import pytest
 
 from brownian_transport import acceptance
 from brownian_transport import montecarlo as mc
+from brownian_transport.errors import PreconditionError
 from brownian_transport.pipeline import f1_asymptotics_report
 
 
@@ -186,3 +187,27 @@ def test_criterion_7_prints_every_cauchy_factor():
     for label in ("Cauchy factors", "interior |x| <= R-1 factors"):
         factors = re.search(re.escape(label) + r" \[([^\]]*)\]", r.details)
         assert len(factors.group(1).split(",")) == 2, r.details
+
+
+def test_one_cell_has_one_instance():
+    # a single cell holds all eight eighths; zero cells hold no vector
+    assert acceptance._eighth_vectors(1) == [(8,)]
+    with pytest.raises(PreconditionError, match="cells must be at least 1"):
+        acceptance.enumerate_instances(0)
+    r = acceptance.criterion_1(acceptance.AcceptanceContext(
+        enumeration_cells=1))
+    assert r.passed and r.details.startswith("1 canonical instances")
+
+
+@pytest.mark.parametrize("key", ["paths", "random_instances", "gap_samples",
+                                 "enumeration_cells"])
+def test_zero_counts_refused(key):
+    with pytest.raises(PreconditionError, match=f"{key} must be at least 1"):
+        acceptance.AcceptanceContext(**{key: 0})
+
+
+def test_criterion_1_reference_is_the_exact_variance_gap():
+    ctx = acceptance.AcceptanceContext(enumeration_cells=4)
+    assert acceptance.criterion_1(ctx).passed
+    assert len(ctx.et_residuals) == 227
+    assert max(gap for _, gap in ctx.et_residuals) < 1e-11

@@ -235,6 +235,41 @@ def test_cantor_command(tmp_path):
     assert "alpha_quadratic=" in gaps
 
 
+@pytest.mark.parametrize("bound", ["lo=0", "hi=0.5"])
+def test_cantor_with_one_endpoint_exits_2(tmp_path, capsys, bound):
+    code = main(["cantor", bound, "depth=4", f"out_dir={tmp_path}"])
+    assert code == 2
+    missing = "hi" if bound.startswith("lo") else "lo"
+    assert f"{missing}= is missing" in capsys.readouterr().err
+
+
+def test_cantor_zero_samples_exits_2(tmp_path, capsys):
+    code = main(["cantor", "depth=4", "samples=0", f"out_dir={tmp_path}"])
+    assert code == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arg, message", [
+    ("instances=0", "random_instances must be at least 1, got 0"),
+    ("gap_samples=0", "gap_samples must be at least 1, got 0"),
+    ("cells=0", "cells must be at least 1, got 0"),
+    ("meshes=", "meshes must name at least one mesh"),
+])
+def test_verify_zero_counts_exit_2(capsys, arg, message):
+    assert main(["verify", arg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_one_cell(capsys):
+    main([
+        "verify", "seed=1", "paths=2000", "meshes=16,32", "instances=2",
+        "gap_samples=100", "sim_mesh=16", "cells=1",
+    ])
+    line = next(s for s in capsys.readouterr().out.splitlines()
+                if "criterion 1:" in s)
+    assert line.startswith("[PASS]") and "1 canonical instances" in line
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "envout"))
     code = main(["cantor", "r=0.4", "depth=4", "samples=100"])

@@ -218,6 +218,13 @@ class TestRunPipeline:
     def test_modulus_diagnostic_present(self, small_pipeline):
         assert small_pipeline.diagnostics["modulus_step"] > 0.0
 
+    def test_phase_timings_in_diagnostics(self, small_pipeline):
+        d = small_pipeline.diagnostics
+        assert list(d["phase_s"]) == [
+            "build", "centre", "discretize", "solve", "assemble"]
+        assert all(s >= 0.0 for s in d["phase_s"].values())
+        assert d["steps_per_s"] == d["steps"] / d["phase_s"]["solve"]
+
     # sha256 of freeze_step (<i8), survival and stopped masses (<f8), cut
     # to 16 hex digits, with the step count and E T as recorded before the
     # solver kernel was rewritten in place: a kernel change must keep them

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brownian_transport.bruteforce import exhaustive_transport
-from brownian_transport.acceptance import enumerate_instances
+from brownian_transport.acceptance import enumerate_instances, width_batches
 from brownian_transport.errors import (
     ConsistencyError,
     NonTerminationError,
@@ -21,6 +21,7 @@ from brownian_transport.solver import (
     init_state,
     solve,
     solve_batch,
+    start_state,
 )
 
 DELTA0 = LatticeMeasure(1, 0, np.array([1.0]))
@@ -234,7 +235,7 @@ class TestBatch:
         assert widths[0] == 1
         for w in widths:
             group = [k for k, st in enumerate(states) if st.live.size == w]
-            batch = solve_batch([states[k] for k in group])
+            batch = solve_batch(SolverState.stack([states[k] for k in group]))
             for k, sol in zip(group, batch):
                 assert_same_solution(sol, solve(*pairs[k]))
         # the batch steps copies: the given states stay at step 0
@@ -252,7 +253,7 @@ class TestBatch:
              LatticeMeasure(2, -2, np.array([0.5, 0.0, 0.0, 0.0, 0.5]))),
         ]
         seen = []
-        batch = solve_batch([init_state(*p) for p in pairs],
+        batch = solve_batch(SolverState.stack([init_state(*p) for p in pairs]),
                             observe=lambda st: seen.append(st.rows.tolist()))
         singles = [solve(*p) for p in pairs]
         for a, b in zip(batch, singles):
@@ -270,12 +271,65 @@ class TestBatch:
         assert solve(DELTA0, slow).steps == 2
         with pytest.raises(NonTerminationError,
                            match="in 1 steps.*instance 1 of the batch"):
-            solve_batch(states, max_steps=1)
+            solve_batch(SolverState.stack(states), max_steps=1)
 
     def test_unequal_widths_rejected(self):
         with pytest.raises(PreconditionError, match="equal window width"):
-            solve_batch([init_state(DELTA0, HALVES),
-                         init_state(DELTA0, QUARTERS)])
+            SolverState.stack([init_state(DELTA0, HALVES),
+                               init_state(DELTA0, QUARTERS)])
+
+
+class TestStartState:
+    @pytest.mark.parametrize("cells, count", [(4, 227), (6, 2902)])
+    def test_batch_rows_equal_init_state(self, cells, count):
+        # compared as bytes, so a signed zero counts as a difference
+        pairs = enumerate_instances(cells)
+        seen = 0
+        for batch, state in width_batches(pairs):
+            for row, k in enumerate(batch):
+                ref = init_state(*(eighths(v) for v in pairs[k]))
+                for name in ("phi", "live", "target"):
+                    assert (getattr(state, name)[row].tobytes()
+                            == getattr(ref, name).tobytes()), (k, name)
+                seen += 1
+        assert seen == count
+
+    # rows of width 5 at mesh 2 from cell -3; rows 0 and 2 are the
+    # transport of a point mass to four quarters
+    GOOD = ([0, 0, 1, 0, 0], [0.25, 0.25, 0, 0.25, 0.25])
+
+    @pytest.mark.parametrize("live, target, message", [
+        ([0, 0, 0, 0, 0], GOOD[1], "measure has no mass"),
+        ([0, 0, 0, 1, 0], GOOD[1], "means differ by 5.000e-01"),
+        ([0, 0, 1.5, 0, 0], GOOD[1], "total masses differ"),
+        ([0.5, 0, 0, 0, 0.5], [0, 0.5, 0, 0.5, 0],
+         "start measure support must lie inside the target support hull"),
+        ([0, 1 / 3, 1 / 3, 1 / 3, 0], [0.5, 0, 0, 0, 0.5],
+         "target mass vanishes at cell -1 strictly inside"),
+        # within the mass and mean tolerances, 2.4e-9 at the right edge
+        (GOOD[0], [0.25 + 6e-10, 0.25, 0, 0.25, 0.25],
+         "cost at window edge cell 1 is 2.400e-09"),
+        ([0.5, 0, 0, 0, 0.5], [0.2] * 5,
+         "cost profile is negative at cell -2: -3.000e-01"),
+    ])
+    def test_each_check_names_the_failing_row(self, live, target, message):
+        masses = [np.array([self.GOOD[j], m, self.GOOD[j]], dtype=float)
+                  for j, m in enumerate((live, target))]
+        with pytest.raises(PreconditionError) as err:
+            start_state(np.array([1, 2, 1]), np.array([0, -3, 0]), *masses)
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(
+            "(instance 1 of the batch: mesh 2, window from cell -3)")
+
+    def test_width_1_batch_solves(self):
+        state = start_state(1, 0, np.ones((2, 1)), np.ones((2, 1)))
+        sols = solve_batch(state)
+        assert [s.steps for s in sols] == [1, 1]
+        assert all(s.stopped.masses.tolist() == [1.0] for s in sols)
+
+    def test_solve_batch_refuses_one_instance(self):
+        with pytest.raises(PreconditionError, match="batch state"):
+            solve_batch(init_state(DELTA0, HALVES))
 
 
 def violating_state():
