@@ -12,7 +12,7 @@ from .errors import (
     NumericToleranceError,
     PreconditionError,
 )
-from .lattice import LatticeMeasure, discretize, phi_lattice
+from .lattice import LatticeMeasure, discretize
 from .measures import (
     CantorSet,
     DensityMeasure,
@@ -92,7 +92,6 @@ __all__ = [
     "init_state",
     "ks_distance",
     "ks_distance_lattice",
-    "phi_lattice",
     "run_pipeline",
     "simulate_counterexample",
     "simulate_first_intersection",

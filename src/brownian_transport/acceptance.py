@@ -72,6 +72,7 @@ class AcceptanceContext:
             raise PreconditionError("meshes must name at least one mesh")
         self._pipelines = {}
         self.et_residuals = []  # (label, residual) from every solved instance
+        self.checked_solves = 0  # solves run with InvariantCheck at every step
 
     def pipeline(self, n):
         if n not in self._pipelines:
@@ -223,6 +224,7 @@ def criterion_1(ctx: AcceptanceContext):
     ctx.et_residuals.extend(
         (f"enum{v0}{v1}", gap) for (v0, v1), gap in zip(pairs, gaps)
     )
+    ctx.checked_solves += len(pairs)
     ok = worst <= 1e-12 and worst_stop <= 1e-12
     return CriterionResult(
         1, "oracle equivalence on the 1/8 grid", ok,
@@ -282,6 +284,7 @@ def criterion_2(ctx: AcceptanceContext):
             sol.expected_time - (m1.variance() - m0.variance())
         )
         ctx.et_residuals.append((f"random{k}", gap))
+        ctx.checked_solves += 1
     ok = failures == 0 and worst <= 1e-9
     return CriterionResult(
         2, "termination and exactness on random instances", ok,
@@ -308,11 +311,12 @@ def criterion_4(ctx: AcceptanceContext):
     # criteria 1 and 2 run every solve with the coincidence check enabled;
     # any violation raises and fails those criteria, so reaching this point
     # with their instance counts recorded means zero violations
-    checked = len(ctx.et_residuals)
+    checked = ctx.checked_solves
     ok = checked > 0
     return CriterionResult(
         4, "discrete coincidence invariant", ok,
-        f"asserted at every step of {checked} solves, zero violations",
+        f"asserted at every step of {checked} solves of criteria 1 and 2, "
+        "zero violations; the pipeline solve is not checked",
     )
 
 

@@ -9,6 +9,7 @@ full-precision floats.  Exit codes: 0 all checks pass, 1 a check failed,
 import itertools
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -183,6 +184,7 @@ def _cmd_solve(params):
     out = _out_dir(params)
     verbose = int(params.get("verbose", 0))
     max_steps = int(params["max_steps"]) if "max_steps" in params else None
+    start = time.perf_counter()
     if verbose >= 2:
         with open(os.path.join(out, "steplog.csv"), "w") as log:
             log.write("t,cell,nu,phi,frozen_flag\n")
@@ -201,6 +203,17 @@ def _cmd_solve(params):
             sol = solve(mu0, mu1, max_steps=max_steps, observe=write_rows)
     else:
         sol = solve(mu0, mu1, max_steps=max_steps)
+    if verbose >= 1:
+        # run statistics go to stderr: standard output and the files stay
+        # the same run to run
+        seconds = time.perf_counter() - start
+        print(
+            f"solve: {sol.steps} steps, {sol.freeze_steps} freeze steps, "
+            f"mean live span {sol.mean_live_span:.1f} of "
+            f"{sol.freeze_step.size} cells, "
+            f"{sol.steps / seconds:.0f} steps/s",
+            file=sys.stderr,
+        )
     sol.to_csv(os.path.join(out, "solution.csv"))
     sol.stopped.to_csv(os.path.join(out, "stopped.csv"))
     gap = abs(sol.expected_time - (mu1.variance() - mu0.variance()))

@@ -192,20 +192,3 @@ def discretize(m, n, clip=None):
     masses = np.maximum(masses, 0.0)
     return LatticeMeasure(n, k_min, masses).trimmed()
 
-
-def phi_lattice(m, k):
-    """Discrete CDF primitive at cell k, in physical units.
-
-    Equals sum over cells j < k of ((k - j)/n) * mass_j, which is the
-    continuous CDF primitive of the lattice measure evaluated at k/n.
-    """
-    k = np.asarray(k)
-    cum0 = np.concatenate([[0.0], np.cumsum(m.masses)])
-    cum1 = np.concatenate([[0.0], np.cumsum(m.cells * m.masses)])
-    idx = np.minimum(np.maximum(k - m.offset, 0), m.masses.size)
-    below = cum0[idx]
-    below_first = cum1[idx]
-    out = (k * below - below_first) / m.mesh_n
-    # cells above the window contribute linearly through total mass and mean
-    return out if out.ndim else float(out)
-

@@ -287,16 +287,6 @@ class CantorSet:
     def float_intervals(self):
         return np.array([[float(a), float(b)] for a, b in self.intervals])
 
-    def contains(self, x):
-        """Vectorized membership test in float precision."""
-        flat = self.float_intervals().reshape(-1)
-        idx = np.searchsorted(flat, np.asarray(x, dtype=float), side="right")
-        inside = idx % 2 == 1
-        # closed right endpoints
-        on_edge = np.isin(np.asarray(x, dtype=float), flat[1::2])
-        out = inside | on_edge
-        return bool(out) if np.ndim(x) == 0 else out
-
     @cached_property
     def _prefix_lengths(self):
         """Left endpoints, and the total length of the first k intervals."""

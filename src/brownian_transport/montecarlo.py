@@ -348,10 +348,6 @@ class HermiteReport:
     tail_estimate: float
     sup_excess: float
 
-    @property
-    def mean_level(self):
-        return float(self.coeffs[0])
-
 
 def _normalized_hermite(x, max_n):
     H = np.empty((max_n + 1,) + x.shape)

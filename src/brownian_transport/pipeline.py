@@ -191,7 +191,9 @@ def run_pipeline(cfg: CantelliConfig | None = None,
 
     ``diagnostics`` records, besides the centring constants and solver
     counts, the wall seconds of each phase (``phase_s``: build, centre,
-    discretize, solve, assemble) and the solver's ``steps_per_s``.
+    discretize, solve, assemble), the solver's ``steps_per_s``, the
+    number of steps at which a cell froze (``freeze_steps``) and the mean
+    width of the live span in cells (``mean_live_span``).
     """
     marks = [time.perf_counter()]  # phase boundaries
     cfg = cfg or CantelliConfig()
@@ -247,6 +249,8 @@ def run_pipeline(cfg: CantelliConfig | None = None,
         # wall times, kept out of every written file
         "phase_s": phase_s,
         "steps_per_s": sol.steps / phase_s["solve"],
+        "freeze_steps": sol.freeze_steps,
+        "mean_live_span": sol.mean_live_span,
     }
     return CantelliResult(
         cantor=cantor,

@@ -37,10 +37,34 @@ ends bit-identical to `solve` on its instance.  The loop hands the state
 to an optional ``observe`` callback at the top of every iteration;
 `InvariantCheck`, the live history of the acceptance suite and the CLI
 step log are such observers.
+
+The kernel spends work only where mass moves.  The live span of one
+instance is the hull [a, b] of the cells that hold live mass; every
+elementwise operation runs on it, arrivals are written on [a-1, b+1],
+and outside that range a step changes nothing, so the arrays stay
+full-width and observers see them as before.  A batch steps whole rows:
+a part-row slice of a (rows, cells) array is strided, and numpy works it
+row by row, at several times the cost of the whole array for the narrow
+windows batches hold.  Most steps freeze nothing
+(754 of the 32 570 steps of the n = 200 pipeline): on such a quiet step
+d = live, so nothing stops and the step only halves, subtracts the
+halves from the cost and moves them.  A step is quiet when the halved
+live mass exceeds the cost on every cell of the range but the absorbing
+ones, which carry neither; any other step, and any doubt, takes the
+exact update above.  Arrivals stop on the absorbing cells of the range:
+one by one where there are a handful, listed when the range or the
+absorbing set changes, and through the absorbing mask otherwise.  The
+live and stopped sums behind the drift check and E T stay
+full-row sums of the whole window, since a sum over a slice rounds
+differently; the diffused mass of a quiet step is the live sum of the
+step before, the same reduction of the same numbers.  So freeze steps,
+survival, stopped mass, step counts, E T and the maximal time are bit
+for bit those of the full-window update.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +74,13 @@ from .lattice import LatticeMeasure
 PHI_CLAMP = -1e-12  # round-off absorbed silently
 PHI_ABORT = -1e-9  # beyond this the run is inconsistent
 LIVE_TOL = 1e-12
+# arrivals on at most this many absorbing cells stop one cell at a time in
+# Python, more through the absorbing mask: the loop costs 0.3-0.5 us a
+# cell and the mask product 4-12 us a step, so the loop is the cheaper up
+# to 10-24 cells on ranges of 50 and 1 150 cells and on batches of
+# 64 x 6 and 256 x 6 cells (2-core x86_64 host); one instance lands on 2
+# cells a step in the median, a criterion-1 batch on 14
+FEW_LANDING = 8
 
 _ARRAYS = ("live", "stopped", "phi", "freeze_step", "survival", "target")
 
@@ -76,26 +107,42 @@ class SolverState:
     target: np.ndarray  # target masses on the window
     rows: np.ndarray | None = None  # batch index of each row, increasing
     absorbing: np.ndarray = field(init=False)  # freeze_step >= 0
-    # work buffers of the kernel, set up by the run loop: the diffused
-    # mass and a view of its edge cells, the halves, and the per-row sums
-    # of live, stopped, diffused, stopping and landing mass, written
-    # through views shaped like the arrays' leading axes
+    # the last step at which mass stopped, per row: a record of the run
+    _last_stop: np.ndarray = field(init=False, repr=False)
+    # set up by the run loop (`_buffers`): the kernel's work buffers, the
+    # edge cells of live and diffused mass, the full-row sums of live,
+    # stopped and diffused mass (rows of `_sums`, written through views
+    # shaped like the leading axes), the live span, and the arrival range
+    # with its landing cells
     _diffused: np.ndarray = field(init=False, repr=False, default=None)
     _half: np.ndarray = field(init=False, repr=False, default=None)
-    _edges: np.ndarray = field(init=False, repr=False, default=None)
+    _edges: tuple = field(init=False, repr=False, default=None)
     _sums: np.ndarray = field(init=False, repr=False, default=None)
     _sum_out: list = field(init=False, repr=False, default=None)
+    _span: tuple = field(init=False, repr=False, default=None)
+    _range: "_ArrivalRange" = field(init=False, repr=False, default=None)
+    _landing: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.absorbing = self.freeze_step >= 0
+        self._last_stop = np.zeros(math.prod(self.live.shape[:-1]),
+                                   dtype=np.int64)
 
     def _buffers(self):
         lead, w = self.live.shape[:-1], self.live.shape[-1]
-        self._diffused = np.empty_like(self.live)
-        self._half = np.empty_like(self.live)
-        self._edges = self._diffused[..., ::max(w - 1, 1)]
-        self._sums = np.zeros((5, math.prod(lead)))
+        self._diffused = np.zeros_like(self.live)
+        # cell k at index k + 1: the cells beyond both edges hold zero
+        self._half = np.zeros(lead + (w + 2,))
+        ends = np.s_[..., ::max(w - 1, 1)]  # cells 0 and w - 1
+        self._edges = self.live[ends], self._diffused[ends]
+        self._sums = np.empty((3, math.prod(lead)))
         self._sum_out = [s.reshape(lead) for s in self._sums]
+        np.add.reduce(self.live, -1, out=self._sum_out[0])
+        np.add.reduce(self.stopped, -1, out=self._sum_out[1])
+        # a batch steps whole rows (see the module docstring)
+        self._span = _hull(self.live, 0, w - 1) if self.live.ndim == 1 \
+            else (0, w - 1)
+        self._range = None
 
     @classmethod
     def stack(cls, states):
@@ -121,9 +168,9 @@ class SolverState:
 
     def _keep(self, keep):
         """Drop the rows of a batch where the mask `keep` is false."""
-        for name in _ARRAYS + ("absorbing", "mesh_n", "offset", "rows"):
+        for name in _ARRAYS + ("absorbing", "mesh_n", "offset", "rows",
+                                "_last_stop"):
             setattr(self, name, getattr(self, name)[keep])
-        self._buffers()
 
     def _name(self, i):
         """Words naming row i in an error: empty for one instance."""
@@ -256,59 +303,165 @@ def start_state(mesh_n, offset, live, target) -> SolverState:
     return state
 
 
+def _hull(live, lo, hi):
+    """First and last cell in [lo, hi] at which the one-instance ``live``
+    holds mass, or (0, -1) if none does."""
+    # a step moves each end by a cell or two, so both scans are short
+    a, b = lo, hi
+    while a <= b and not live.item(a):
+        a += 1
+    while b > a and not live.item(b):
+        b -= 1
+    return (a, b) if a <= b else (0, -1)
+
+
 def _advance(state: SolverState):
     """One freeze/diffuse update of the state's arrays, in place, along
     the last axis.
 
-    Leaves in ``state._sums`` the per-row sums of the live and stopped
-    mass after the step, of the diffused mass, of the mass stopped at t
-    and of the mass landing on absorbing cells, which stops at t + 1.
+    Works on the arrival range, the live span [a, b] widened by a cell
+    on each side within the window (whole rows in a batch); outside it
+    the update changes nothing.  Leaves in ``state._sums`` the full-row
+    sums of the live and stopped mass after the step and of the diffused
+    mass, updates the per-row records, and moves the live span to the
+    cells that hold live mass after the step.  A row's last stop is the
+    last step at which a nonzero mass stopped or landed in it.
     """
-    live, phi, d, half = state.live, state.phi, state._diffused, state._half
-    live_sum, stopped_sum, diffused, stopped_now, landed = state._sum_out
-    t = state.t
+    live, t = state.live, state.t
+    live_sum, stopped_sum, diffused = state._sum_out
+    if state._range is None:
+        a, b = state._span
+        _arrival_range(state, max(a - 1, 0), min(b + 1, live.shape[-1] - 1))
+    lo, hi, edge, ls, ps, hs, left, right, landing = state._range
+    absorbing, few = state._landing
 
-    np.multiply(phi, 2.0, out=d)
-    # absorbing cells hold no live mass, so live > 0 excludes them
-    newly = (live > 0.0) & (d <= live)
-    np.minimum(live, d, out=d)
-    if newly.any():
-        state.freeze_step[newly] = t
-        state.survival[newly] = d[newly] / live[newly]
-        state.absorbing |= newly
-    if np.count_nonzero(state._edges):
-        i = int(np.flatnonzero(state._edges.any(axis=-1))[0])
+    np.multiply(ls, 0.5, out=hs)
+    # 2 phi <= live implies phi <= live / 2 (also where halving rounds),
+    # and absorbing cells, with no live mass and no cost, pass too; so
+    # when no other cell passes, no cell freezes, and otherwise the exact
+    # update runs
+    quiet = np.count_nonzero(ps <= hs) == absorbing
+    if quiet:  # d == live: nothing stops, and the halves are final
+        if edge and np.count_nonzero(state._edges[0]):
+            _leak(state, state._edges[0], t)
+        # the sum of d is the sum of live, taken at the end of last step
+        np.copyto(diffused, live_sum)
+    else:
+        d = state._diffused  # zero outside the range, as d is there
+        d[..., :lo] = 0.0
+        d[..., hi + 1:] = 0.0
+        ds = d[..., lo:hi + 1]
+        np.multiply(ps, 2.0, out=ds)
+        # absorbing cells hold no live mass, so live > 0 excludes them
+        newly = (ls > 0.0) & (ds <= ls)
+        np.minimum(ls, ds, out=ds)
+        frozen = np.count_nonzero(newly)
+        if frozen:
+            state.freeze_step[..., lo:hi + 1][newly] = t
+            state.survival[..., lo:hi + 1][newly] = ds[newly] / ls[newly]
+            state.absorbing[..., lo:hi + 1] |= newly
+            # the new absorbing cells land arrivals from this step on
+            absorbing += frozen
+            few = few + _cells(newly, lo) \
+                if few is not None and absorbing <= FEW_LANDING else None
+            state._landing = absorbing, few
+        if edge and np.count_nonzero(state._edges[1]):
+            _leak(state, state._edges[1], t)
+        np.subtract(ls, ds, out=ls)  # the mass stopping at t
+        state.stopped[..., lo:hi + 1] += ls
+        state._last_stop[np.logical_or.reduce(ls, axis=-1).reshape(-1)] = t
+        np.multiply(ds, 0.5, out=hs)
+        np.add.reduce(d, -1, out=diffused)
+
+    ps -= hs
+    if ps.min() < PHI_ABORT:
+        j = int(np.argmin(ps))
+        i, k = divmod(j, hi - lo + 1)
+        cell = int(np.reshape(state.offset, -1)[i]) + lo + k
         raise ConsistencyError(
-            f"mass diffusing out of the window at step {t}{state._name(i)}"
-        )
-
-    np.subtract(live, d, out=live)  # the mass stopping at t
-    state.stopped += live
-    np.add.reduce(live, -1, out=stopped_now)
-
-    np.multiply(d, 0.5, out=half)
-    phi -= half
-    if phi.min() < PHI_ABORT:
-        j = int(np.argmin(phi))
-        i, k = divmod(j, phi.shape[-1])
-        cell = int(np.reshape(state.offset, -1)[i]) + k
-        raise ConsistencyError(
-            f"cost went negative ({phi.flat[j]:.3e}) at cell {cell}, "
+            f"cost went negative ({ps.flat[j]:.3e}) at cell {cell}, "
             f"step {t}{state._name(i)}"
         )
 
     # live becomes the arrivals; those on absorbing cells stop at t + 1
-    live[..., :-1] = half[..., 1:]
-    live[..., -1] = 0.0
-    live[..., 1:] += half[..., :-1]
-    np.multiply(live, state.absorbing, out=half)
-    state.stopped += half
-    live -= half
-    np.add.reduce(d, -1, out=diffused)
-    np.add.reduce(half, -1, out=landed)
+    np.add(left, right, out=ls)
+    if few is not None:  # the same sums, cell by cell
+        stopped, last_stop = state.stopped, state._last_stop
+        for i, k in few:
+            arrived = live.item(k)
+            if arrived:
+                stopped[k] = stopped.item(k) + arrived
+                live[k] = 0.0
+                last_stop[i] = t + 1
+    else:
+        np.multiply(ls, landing, out=hs)
+        state.stopped[..., lo:hi + 1] += hs
+        ls -= hs
+        landed = np.logical_or.reduce(hs, axis=-1).reshape(-1)
+        state._last_stop[landed] = t + 1
     np.add.reduce(live, -1, out=live_sum)
-    np.add.reduce(state.stopped, -1, out=stopped_sum)
+    if absorbing or not quiet:
+        np.add.reduce(state.stopped, -1, out=stopped_sum)
+
+    if live.ndim == 1:
+        span = _hull(live, lo, hi)
+        if span != state._span:
+            state._span, state._range = span, None
     state.t = t + 1
+
+
+class _ArrivalRange(NamedTuple):
+    """The cells [lo, hi] a step works on, with views of the state's
+    arrays on them, and its landing cells, the absorbing ones."""
+
+    lo: int
+    hi: int
+    edge: bool  # whether the range holds a window edge
+    live: np.ndarray
+    phi: np.ndarray
+    half: np.ndarray  # the halves of the range's own cells
+    left: np.ndarray  # the halves arriving from the left neighbours
+    right: np.ndarray  # the halves arriving from the right neighbours
+    landing: np.ndarray  # whether each cell of the range is absorbing
+
+
+def _arrival_range(state, lo, hi):
+    """Set up the arrival range [lo, hi] as ``state._range``, and its
+    landing cells, the absorbing ones, as ``state._landing``: their
+    number and, if at most FEW_LANDING, the (row, index into the state's
+    arrays) of each."""
+    half = state._half
+    # the cells beyond the range hold no halves
+    half[..., lo] = 0.0
+    half[..., hi + 2] = 0.0
+    landing = state.absorbing[..., lo:hi + 1]
+    absorbing = np.count_nonzero(landing)
+    few = _cells(landing, lo) if absorbing <= FEW_LANDING else None
+    state._range = _ArrivalRange(
+        lo, hi, lo == 0 or hi == state.live.shape[-1] - 1,
+        state.live[..., lo:hi + 1], state.phi[..., lo:hi + 1],
+        half[..., lo + 1:hi + 2], half[..., lo:hi + 1],
+        half[..., lo + 2:hi + 3], landing)
+    state._landing = absorbing, few
+
+
+def _cells(mask, lo):
+    """(row, index into the state's arrays) of each cell where ``mask``,
+    a mask of the cells from ``lo`` on, holds."""
+    *rows, cols = np.nonzero(mask)
+    cols = (cols + lo).tolist()
+    if not rows:
+        return [(0, k) for k in cols]
+    rows = rows[0].tolist()
+    return list(zip(rows, zip(rows, cols)))
+
+
+def _leak(state, edges, t):
+    """Raise for the first row with mass on a window edge in `edges`."""
+    i = int(np.flatnonzero(edges.reshape(-1, edges.shape[-1]).any(-1))[0])
+    raise ConsistencyError(
+        f"mass diffusing out of the window at step {t}{state._name(i)}"
+    )
 
 
 def _coincidence_violation(state: SolverState, tol=1e-10):
@@ -382,6 +535,10 @@ class TransportSolution:
     expected_time: float
     max_time: float
     steps: int
+    freeze_steps: int  # steps at which at least one cell froze
+    # mean width in cells of the live span the kernel stepped; a batch
+    # steps whole rows, so a batch row reports its window width
+    mean_live_span: float
 
     @property
     def cells(self):
@@ -423,13 +580,11 @@ def _run(state: SolverState, max_steps, observe) -> list:
         int(50 * n**2 * max(width / n, 1.0) ** 2) if max_steps is None
         else max_steps for n in meshes
     ]
-    np.add.reduce(state.live, -1, out=state._sum_out[0])
-    np.add.reduce(state.stopped, -1, out=state._sum_out[1])
-    live_sum, stopped_sum = state._sums[:2].tolist()
+    live_sum, stopped_sum, _ = state._sums.tolist()
     total0 = [a + b for a, b in zip(live_sum, stopped_sum)]
     drift_tol = [1e-12 * max(1.0, m) for m in total0]
-    moves = [[] for _ in meshes]  # diffused mass per step, per row
-    last_stop = [0] * len(meshes)
+    moves = np.empty((64, len(meshes)))  # diffused mass per step and row
+    spans = 0  # live-span widths summed over the steps taken
     solutions = [None] * len(meshes)
     ids = list(range(len(meshes)))  # the batch index of each current row
     limit = min(budget)
@@ -444,38 +599,37 @@ def _run(state: SolverState, max_steps, observe) -> list:
             )
         if observe is not None:
             observe(state)
-        done = [i for i, s in enumerate(live_sum) if s <= LIVE_TOL]
-        if done:
-            for i in done:
-                k = ids[i]
-                solutions[k] = _solution(
-                    state, i, meshes[k], offsets[k], moves[k], last_stop[k]
-                )
-            if len(done) == len(ids):
+        if min(live_sum) <= LIVE_TOL:
+            keep = np.array(live_sum) > LIVE_TOL
+            for i in np.flatnonzero(~keep).tolist():
+                solutions[ids[i]] = _solution(
+                    state, i, meshes[ids[i]], offsets[ids[i]],
+                    moves[:state.t, i], spans)
+            if not keep.any():
                 return solutions
-            keep = np.ones(len(ids), dtype=bool)
-            keep[done] = False
             state._keep(keep)
+            state._buffers()
+            moves = moves[:, keep]
+            total0, drift_tol = ([x for x, k in zip(v, keep) if k]
+                                 for v in (total0, drift_tol))
             ids = state.rows.tolist()
             limit = min(budget[k] for k in ids)
         t = state.t
+        if t == len(moves):
+            moves = np.concatenate((moves, np.empty_like(moves)))
+        spans += state._span[1] - state._span[0] + 1
         _advance(state)
-        live_sum, stopped_sum, diffused, stopped_now, landed = \
-            state._sums.tolist()
-        for i, k in enumerate(ids):
-            if abs(live_sum[i] + stopped_sum[i] - total0[k]) > drift_tol[k]:
+        moves[t] = state._sums[2]
+        live_sum, stopped_sum = state._sums[:2].tolist()
+        for i, (a, b, m, tol) in enumerate(
+                zip(live_sum, stopped_sum, total0, drift_tol)):
+            if abs(a + b - m) > tol:
                 raise ConsistencyError(
                     f"mass drift beyond 1e-12 at step {t}{state._name(i)}"
                 )
-            moves[k].append(diffused[i])
-            # decided stops carry time t, landings on absorbing cells t + 1
-            if landed[i] > 0.0:
-                last_stop[k] = t + 1
-            elif stopped_now[i] > 0.0:
-                last_stop[k] = t
 
 
-def _solution(state, i, mesh_n, offset, moves, last_stop):
+def _solution(state, i, mesh_n, offset, moves, spans):
     """The solution of row i, whose live mass has run out."""
     w = state.live.shape[-1]
     phi, stopped, target, freeze_step, survival = (
@@ -495,6 +649,8 @@ def _solution(state, i, mesh_n, offset, moves, last_stop):
             f"{state._name(i)}"
         )
     never = freeze_step < 0  # cells no mass ever visited
+    # each step at which a cell froze stamped it with its number
+    freeze_steps = len(set(freeze_step[~never].tolist()))
     freeze_step[never] = 0
     survival[never] = 0.0
     n2 = float(mesh_n**2)
@@ -504,9 +660,11 @@ def _solution(state, i, mesh_n, offset, moves, last_stop):
         freeze_step=freeze_step,
         survival=survival,
         stopped=LatticeMeasure(mesh_n, offset, stopped),
-        expected_time=math.fsum(moves) / n2,
-        max_time=last_stop / n2,
+        expected_time=math.fsum(moves.tolist()) / n2,
+        max_time=int(state._last_stop[i]) / n2,
         steps=state.t,
+        freeze_steps=freeze_steps,
+        mean_live_span=spans / state.t if state.t else 0.0,
     )
 
 

@@ -55,6 +55,16 @@ def test_criterion_4_coincidence_invariant(suite):
     _assert_criterion(suite[1], 4)
 
 
+def test_criterion_4_counts_only_the_checked_solves(suite):
+    # criterion 3 adds the n = 400 pipeline solve, which runs no invariant
+    # check, to the expected-time residuals
+    ctx, results = suite
+    assert len(ctx.et_residuals) == 7272
+    assert results[4].details.startswith(
+        "asserted at every step of 7271 solves of criteria 1 and 2")
+    assert results[4].details.endswith("the pipeline solve is not checked")
+
+
 def test_criterion_5_cantor_geometry(suite):
     _assert_criterion(suite[1], 5)
 

@@ -102,6 +102,31 @@ def test_solve_roundtrip(tmp_path):
     assert (out / "stopped.csv").exists()
 
 
+def test_solve_verbose_1_reports_on_stderr(tmp_path, capsys):
+    # steps, freeze steps, mean live span and steps/s on standard error;
+    # standard output and the written files as without verbose
+    mu0 = LatticeMeasure(1, 0, np.array([1.0]))
+    mu1 = LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
+    mu0.to_csv(tmp_path / "mu0.csv")
+    mu1.to_csv(tmp_path / "mu1.csv")
+    runs = []
+    for verbose in (0, 1):
+        out = tmp_path / f"verbose{verbose}"
+        assert main([
+            "solve", f"mu0={tmp_path / 'mu0.csv'}",
+            f"mu1={tmp_path / 'mu1.csv'}", f"out_dir={out}",
+            f"verbose={verbose}",
+        ]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out.replace(str(out), "OUT"), captured.err,
+                     sorted((f.name, f.read_bytes()) for f in out.iterdir())))
+    (out0, err0, files0), (out1, err1, files1) = runs
+    assert (out1, files1) == (out0, files0)
+    assert err0 == ""
+    assert re.fullmatch(r"solve: 3 steps, 2 freeze steps, mean live span "
+                        r"3\.0 of 5 cells, \d+ steps/s\n", err1), err1
+
+
 def test_steplog_rows_match_per_cell_formatting(tmp_path):
     # reference: the row of every cell of every stepping state, formatted
     # one value at a time

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
-from brownian_transport.lattice import LatticeMeasure, discretize, phi_lattice
+from brownian_transport.lattice import LatticeMeasure, discretize
+from brownian_transport.solver import start_state
 
 from conftest import primitive
 
@@ -61,16 +62,28 @@ def test_unbounded_support_rejected():
         discretize(bt.gaussian(1.0), 4)
 
 
+def primitive_at_cells(L):
+    """n Phi of the lattice measure L at its window cells, read off
+    `start_state`'s cost n (Phi_L - Phi_0) for a unit point mass at cell 0
+    (L's mean), whose own n Phi at cell k is max(k, 0)."""
+    start = np.zeros(L.masses.size)
+    start[-L.offset] = 1.0
+    state = start_state(L.mesh_n, L.offset, start, L.masses.copy())
+    return state.phi + np.maximum(L.cells, 0)
+
+
 def test_phi_point_mass():
-    d0 = LatticeMeasure(1, 0, np.array([1.0]))
-    assert phi_lattice(d0, 2) == pytest.approx(2.0, abs=0)
-    assert phi_lattice(d0, 0) == 0.0
-    assert phi_lattice(d0, -3) == 0.0
+    # n Phi of the point mass at 0 is max(k, 0); of the halves at -2 and 2
+    # it is (max(k + 2, 0) + max(k - 2, 0)) / 2, so the cost from one to
+    # the other on cells -3 .. 3 is
+    state = start_state(1, -3, np.array([0, 0, 0, 1.0, 0, 0, 0]),
+                        np.array([0, 0.5, 0, 0, 0, 0.5, 0]))
+    assert state.phi.tolist() == [0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0]
 
 
 def test_phi_half_masses():
     half = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
-    assert phi_lattice(half, 0) == pytest.approx(0.5, abs=0)
+    assert primitive_at_cells(half).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_phi_exact_at_nodes():
@@ -80,8 +93,8 @@ def test_phi_exact_at_nodes():
     for n in (4, 8, 16):
         L = discretize(m, n)
         k = n // 2
-        assert phi_lattice(L, k) == pytest.approx(primitive(m, k / n),
-                                                  abs=5e-14)
+        got = primitive_at_cells(L)[k - L.offset] / n
+        assert got == pytest.approx(primitive(m, k / n), abs=5e-14)
 
 
 def test_phi_off_node_second_order():

@@ -231,9 +231,11 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n, digest, steps, expected_time", [
         (16, "a0e52c4c498a15e3", 208, "0x1.5db1283c46ee1p-1"),
         (100, "0d2ad55eb8baad7e", 8142, "0x1.5db12a133d583p-1"),
+        (200, "b46e246a06d36b8c", 32570, "0x1.5db12a1c87a48p-1"),
     ])
     def test_solve_bit_identical(self, n, digest, steps, expected_time):
-        sol = run_pipeline(CantelliConfig(mesh_n=n)).solution
+        res = run_pipeline(CantelliConfig(mesh_n=n))
+        sol = res.solution
         h = hashlib.sha256()
         for arr, dtype in ((sol.freeze_step, "<i8"), (sol.survival, "<f8"),
                            (sol.stopped.masses, "<f8")):
@@ -241,6 +243,13 @@ class TestRunPipeline:
         assert h.hexdigest()[:16] == digest
         assert sol.steps == steps
         assert sol.expected_time == float.fromhex(expected_time)
+        # the steps at which some cell froze, and the live-span widths
+        # summed over the steps: about 72 % of the 1 601-cell window at
+        # n = 200
+        d = res.diagnostics
+        assert (d["freeze_steps"], d["mean_live_span"] * d["steps"]) == {
+            16: (41, 19_086), 100: (373, 4_674_828), 200: (754, 37_425_912),
+        }[n]
 
 
 class TestTruncation:

@@ -12,6 +12,7 @@ from brownian_transport.errors import (
     PreconditionError,
 )
 from brownian_transport.lattice import LatticeMeasure
+from brownian_transport import solver as solver_module
 from brownian_transport.solver import (
     InvariantCheck,
     PiecewiseLinear,
@@ -185,6 +186,34 @@ class TestSolve:
             )
             assert np.all(nxt.phi <= st.phi + 1e-15)
 
+    @pytest.mark.parametrize("mu1, steps, freeze_steps, span", [
+        (HALVES, 2, 2, 2.0),  # widths 1 and 3
+        (QUARTERS, 3, 2, 3.0),  # widths 1, 3 and 5
+    ])
+    def test_freeze_steps_and_mean_live_span(self, mu1, steps, freeze_steps,
+                                             span):
+        sol = solve(DELTA0, mu1)
+        assert (sol.steps, sol.freeze_steps) == (steps, freeze_steps)
+        assert sol.mean_live_span == span
+
+    def test_leak_at_the_window_edge_is_raised(self):
+        # live mass on the last cell, whose cost lets all of it diffuse:
+        # once on a step that freezes nothing, once on a step at which
+        # the cell next to it freezes
+        for phi, frozen in (([0.0, 1.0, 1.0], -1), ([0.0, 0.25, 1.0], 0)):
+            state = SolverState(
+                mesh_n=1, offset=0, t=0, live=np.array([0.0, 1.0, 1.0]),
+                stopped=np.zeros(3), phi=np.array(phi),
+                freeze_step=np.full(3, -1), survival=np.full(3, np.nan),
+                target=np.array([0.5, 1.0, 0.5]),
+            )
+            batch = SolverState.stack([state])
+            with pytest.raises(ConsistencyError, match=(
+                    r"mass diffusing out of the window at step 0 "
+                    r"\(instance 0 of the batch")):
+                solve_batch(batch)
+            assert batch.freeze_step[0, 1] == frozen
+
     def test_nontermination_budget(self):
         with pytest.raises(NonTerminationError):
             solve(DELTA0, QUARTERS, max_steps=1)
@@ -219,10 +248,30 @@ def assert_same_solution(a, b):
     assert np.array_equal(a.stopped.masses, b.stopped.masses)
     assert a.expected_time == b.expected_time
     assert a.max_time == b.max_time
+    assert a.freeze_steps == b.freeze_steps
 
 
 def eighths(v):
     return LatticeMeasure(1, 0, np.array(v, dtype=float) / 8.0)
+
+
+def far_apart_pairs():
+    """One window width of 25 cells: point masses at cells 4 and 20, which
+    spread toward targets mostly at the near edge, and an identity that
+    leaves a batch after one step."""
+    def target(masses):
+        m = np.zeros(25)
+        for cell, eighths in masses.items():
+            m[cell] = eighths / 8.0
+        return LatticeMeasure(1, 0, m)
+
+    return [
+        (LatticeMeasure(1, 4, np.array([1.0])), target({0: 3, 2: 4, 24: 1})),
+        (LatticeMeasure(1, 20, np.array([1.0])),
+         target({0: 1, 16: 1, 24: 6})),
+        (LatticeMeasure(1, 0, np.full(25, 0.04)),
+         LatticeMeasure(1, 0, np.full(25, 0.04))),
+    ]
 
 
 class TestBatch:
@@ -264,6 +313,28 @@ class TestBatch:
             [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 2, 3], [2, 3], [3],
         ]
         assert len(seen) == 81
+
+    def test_far_apart_live_spans_match_solve(self):
+        pairs = far_apart_pairs()
+        batch = solve_batch(SolverState.stack([init_state(*p) for p in pairs]))
+        singles = [solve(*p) for p in pairs]
+        for a, b in zip(batch, singles):
+            assert_same_solution(a, b)
+        assert [s.steps for s in singles] == [2634, 1454, 1]
+        assert [s.freeze_steps for s in batch] == [4, 6, 1]
+
+    def test_both_landing_paths_agree(self, monkeypatch):
+        # arrivals on at most FEW_LANDING absorbing cells stop one cell at
+        # a time, more through the absorbing mask: each way alone gives
+        # the same solutions, one instance and a batch alike
+        pairs = far_apart_pairs()
+        runs = []
+        for few in (0, 10**9):
+            monkeypatch.setattr(solver_module, "FEW_LANDING", few)
+            runs.append([solve(*p) for p in pairs] + solve_batch(
+                SolverState.stack([init_state(*p) for p in pairs])))
+        for a, b in zip(*runs):
+            assert_same_solution(a, b)
 
     def test_exhausted_budget_names_the_instance(self):
         slow = LatticeMeasure(1, -1, np.array([0.25, 0.5, 0.25]))
