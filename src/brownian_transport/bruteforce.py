@@ -8,6 +8,7 @@ is O(width^2) per step.
 """
 
 from .errors import NonTerminationError
+from .solver import LIVE_TOL
 
 
 def _phi_from_occupation(target, occupation):
@@ -22,12 +23,12 @@ def _phi_from_occupation(target, occupation):
     return phi
 
 
-def exhaustive_transport(mu0, mu1, max_steps=4096, live_tol=1e-12):
-    """Evolve the full mass vector until everything has stopped.
+def exhaustive_transport(mu0, mu1, max_steps=4096):
+    """Evolve the full mass vector until everything has stopped, that is
+    until the walking mass is at most the engine's LIVE_TOL.
 
-    Returns a dict with the freeze record (g, q), the final parked mass,
-    the per-step walking-mass snapshots, and the expected stopping time in
-    step units.
+    Returns a dict with the freeze record (g, q), the final parked mass
+    and the per-step walking-mass snapshots.
     """
     w = len(mu0)
     if len(mu1) != w:
@@ -37,11 +38,10 @@ def exhaustive_transport(mu0, mu1, max_steps=4096, live_tol=1e-12):
     g = [None] * w
     q = [None] * w
     history = []
-    moves_total = 0.0
 
     for t in range(max_steps + 1):
         history.append(list(walking))
-        if sum(walking) <= live_tol:
+        if sum(walking) <= LIVE_TOL:
             break
         occupation = [a + b for a, b in zip(walking, parked)]
         phi = _phi_from_occupation(mu1, occupation)
@@ -62,7 +62,6 @@ def exhaustive_transport(mu0, mu1, max_steps=4096, live_tol=1e-12):
                     q[x] = 2.0 * phi[x] / nu if nu > 0.0 else 0.0
                 outflow[x] = 2.0 * phi[x]
                 parked[x] += nu - outflow[x]
-        moves_total += sum(outflow)
         nxt = [0.0] * w
         for x in range(w):
             if outflow[x] == 0.0:
@@ -84,5 +83,4 @@ def exhaustive_transport(mu0, mu1, max_steps=4096, live_tol=1e-12):
         "q": q,
         "parked": parked,
         "walking_history": history,
-        "expected_steps": moves_total,
     }

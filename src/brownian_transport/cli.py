@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Plain ``command key=value ...`` arguments, an optional ``config=FILE`` of
-key=value lines (explicit arguments win), and CSV outputs with
-full-precision floats.  Exit codes: 0 all checks pass, 1 a check failed,
-2 configuration or precondition error.
+key=value lines (explicit arguments win), and CSV and key=value outputs
+with full-precision floats (``lattice.write_csv``, ``_write_keys``).  A
+key left out keeps the default of the function it feeds.  Exit codes:
+0 all checks pass, 1 a check failed, 2 configuration or precondition
+error.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from .errors import (
     NumericToleranceError,
     PreconditionError,
 )
-from .lattice import LatticeMeasure
+from .lattice import LatticeMeasure, format_value, write_csv
 from .measures import build_cantor, cantor_gap_constants
 from .pipeline import CantelliConfig, run_pipeline
 from .solver import LIVE_TOL, solve
@@ -38,10 +40,6 @@ _VALID_KEYS = {
     "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir"},
     "convergence": {"meshes", "paths", "seed", "out_dir"},
 }
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 def _parse_args(tokens):
@@ -88,19 +86,18 @@ def _out_dir(params):
     return out
 
 
-def _write_csv(path, header, rows):
+def _write_keys(path, **values):
+    """One key=value line per value, formatted as in the CSV files."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for key, value in values.items():
+            fh.write(f"{key}={format_value(value)}\n")
 
 
-def write_svg_lineplot(path, xs, ys, title="", width=640, height=360):
-    """Minimal self-contained polyline plot."""
+def write_svg_lineplot(path, xs, ys, title=""):
+    """Minimal self-contained 640 x 360 polyline plot."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    pad = 40
+    width, height, pad = 640, 360, 40
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     if y1 == y0:
@@ -145,19 +142,15 @@ def _cmd_pipeline(params):
     res = run_pipeline(cfg)
     out = _out_dir(params)
     xs = res.f1.xs
-    _write_csv(os.path.join(out, "f.csv"), ["x", "f"],
-               zip(xs.tolist(), np.asarray(res.f(xs)).tolist()))
-    _write_csv(os.path.join(out, "phi.csv"), ["x", "phi"],
-               zip(xs.tolist(), np.asarray(res.phi(xs)).tolist()))
-    _write_csv(os.path.join(out, "cantor.csv"), ["a", "b"],
-               [(float(a), float(b)) for a, b in res.cantor.intervals])
-    with open(os.path.join(out, "meta"), "w") as fh:
-        fh.write(f"t0={_fmt(cfg.t0)}\n")
-        fh.write(f"c={_fmt(res.c)}\n")
-        fh.write(f"C={_fmt(res.C)}\n")
-        fh.write(f"E_T={_fmt(res.solution.expected_time)}\n")
-        fh.write(f"n={cfg.mesh_n}\n")
-        fh.write(f"R={_fmt(cfg.truncation_R)}\n")
+    write_csv(os.path.join(out, "f.csv"), ["x", "f"],
+              zip(xs.tolist(), np.asarray(res.f(xs)).tolist()))
+    write_csv(os.path.join(out, "phi.csv"), ["x", "phi"],
+              zip(xs.tolist(), np.asarray(res.phi(xs)).tolist()))
+    write_csv(os.path.join(out, "cantor.csv"), ["a", "b"],
+              res.cantor.float_intervals())
+    _write_keys(os.path.join(out, "meta"), t0=cfg.t0, c=res.c, C=res.C,
+                E_T=res.solution.expected_time, n=cfg.mesh_n,
+                R=cfg.truncation_R)
     if int(params.get("svg", 0)):
         write_svg_lineplot(os.path.join(out, "f1.svg"), xs, res.f1.ys,
                            "transport stopping function")
@@ -216,12 +209,12 @@ def _cmd_solve(params):
         )
     sol.to_csv(os.path.join(out, "solution.csv"))
     sol.stopped.to_csv(os.path.join(out, "stopped.csv"))
-    gap = abs(sol.expected_time - (mu1.variance() - mu0.variance()))
+    rep = mc.expected_time_check(sol, mu0, mu1)
     print(
         f"solved in {sol.steps} steps: E_T={sol.expected_time:.12g} "
-        f"(identity residual {gap:.2e}) -> {out}"
+        f"(identity residual {rep.residual:.2e}) -> {out}"
     )
-    return 0 if gap <= 1e-8 else 1
+    return 0 if rep.passed else 1
 
 
 def _print_criterion(result):
@@ -265,15 +258,14 @@ def _cmd_cantor(params):
         lo, hi = -r, r
     K = build_cantor((lo, hi), depth)
     out = _out_dir(params)
-    _write_csv(os.path.join(out, "cantor.csv"), ["a", "b"],
-               [(float(a), float(b)) for a, b in K.intervals])
+    write_csv(os.path.join(out, "cantor.csv"), ["a", "b"],
+              K.float_intervals())
     gaps = cantor_gap_constants(K, int(params.get("samples", 10_000)),
                                 seed=int(params.get("seed", 0)))
-    with open(os.path.join(out, "gap_constants"), "w") as fh:
-        fh.write(f"alpha_quadratic={_fmt(gaps.alpha_quadratic)}\n")
-        fh.write(f"alpha_exp={_fmt(gaps.alpha_exp)}\n")
-        fh.write(f"n_samples={gaps.n_samples}\n")
-        fh.write(f"min_length={_fmt(gaps.min_length)}\n")
+    _write_keys(os.path.join(out, "gap_constants"),
+                alpha_quadratic=gaps.alpha_quadratic,
+                alpha_exp=gaps.alpha_exp, n_samples=gaps.n_samples,
+                min_length=gaps.min_length)
     print(
         f"{len(K.intervals)} intervals, total length "
         f"{float(K.total_length()):.12g}; alpha_quadratic="
@@ -283,35 +275,17 @@ def _cmd_cantor(params):
 
 
 def _cmd_convergence(params):
-    meshes = tuple(
-        int(v) for v in params.get("meshes", "100,200,400").split(",") if v
-    )
-    paths = int(params.get("paths", 1_000_000))
-    seed = int(params.get("seed", 42))
+    # the keys it accepts, meshes=, paths= and seed=, parse as in verify
+    ctx = acceptance.AcceptanceContext(**_given(params, _VERIFY_FIELDS))
     out = _out_dir(params)
-    rows = []
-    runs = {}
-    for n in meshes:
-        res = run_pipeline(CantelliConfig(mesh_n=n))
-        runs[n] = res
-        z = mc.simulate_counterexample(
-            res, mc.PathSimConfig(num_paths=paths, seed=seed)
-        )
-        rows.append(
-            (n, mc.ks_distance(z.empirical, z.target_cdf),
-             acceptance.counterexample_exact_ks(res),
-             float(res.C), res.solution.expected_time)
-        )
-        print(
-            f"n={n}: sampled KS={rows[-1][1]:.6f} exact KS={rows[-1][2]:.2e} "
-            f"C={res.C:.6f} E_T={res.solution.expected_time:.6f}"
-        )
-    _write_csv(os.path.join(out, "convergence.csv"),
-               ["n", "ks_sampled", "ks_exact", "C", "E_T"], rows)
-    for n_c, n_f in zip(meshes, meshes[1:]):
-        fc, ff = runs[n_c].f1, runs[n_f].f1
-        d = float(np.abs(fc.ys - ff(fc.xs)).max())
-        print(f"sup-node |f1({n_c}) - f1({n_f})| = {d:.6f}")
+    rows, gaps = acceptance.mesh_convergence(ctx)
+    for r in rows:
+        print(f"n={r.n}: sampled KS={r.ks_sampled:.6f} exact KS="
+              f"{r.ks_exact:.2e} C={r.C:.6f} E_T={r.E_T:.6f}")
+    write_csv(os.path.join(out, "convergence.csv"), acceptance.MeshRow._fields,
+              rows)
+    for r_c, r_f, (gap, _) in zip(rows, rows[1:], gaps):
+        print(f"sup-node |f1({r_c.n}) - f1({r_f.n})| = {gap:.6f}")
     return 0
 
 

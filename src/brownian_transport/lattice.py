@@ -3,7 +3,8 @@
 Masses are projected with the normalized hat kernel (1 - n|x - k/n|)+,
 a partition of unity on the support, so total mass and mean carry over
 from the continuous measure.  The discrete CDF primitive matches the
-continuous one at the nodes.
+continuous one at the nodes.  ``write_csv`` writes every CSV file of the
+package.
 """
 
 import math
@@ -79,10 +80,8 @@ class LatticeMeasure:
         return LatticeMeasure(self.mesh_n, lo_cell, out)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("cell_index,position,mass\n")
-            for k, x, m in zip(self.cells, self.positions, self.masses):
-                fh.write(f"{k},{x:.17g},{m:.17g}\n")
+        write_csv(path, ("cell_index", "position", "mass"),
+                  zip(self.cells, self.positions, self.masses))
 
     @classmethod
     def from_csv(cls, path):
@@ -132,6 +131,20 @@ class LatticeMeasure:
         if np.any(np.diff(cells) != 1):
             raise PreconditionError("lattice CSV cells must be consecutive")
         return cls(int(mesh), int(cells[0]), np.asarray(masses, dtype=float))
+
+
+def format_value(v):
+    """A value as the written files hold it: a float with all 17
+    significant digits, anything else as ``str`` gives it."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(path, header, rows):
+    """The one CSV writer: a header line, then one line per row."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def discretize(m, n, clip=None):

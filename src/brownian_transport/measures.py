@@ -1,13 +1,14 @@
 """One-dimensional measures with piecewise Gaussian and affine densities.
 
-Every measure is built from contiguous pieces, each an affine density
-plus Gaussian terms, by the constructors in this module (``gaussian``,
-``uniform``, ``triangle``, ``from_pieces``).  The one read-out is the
-closed-form (mass, first moment) pair over an interval, which is all the
-hat projection onto the lattice and the centering need; every integral
-downstream is therefore exact to rounding.  The module also builds
-Cantor sets with exact rational endpoints and provides the centering /
-truncation transforms that prepare measures for discretization.
+Every measure is a `DensityMeasure` of contiguous pieces, each an affine
+density plus Gaussian terms, built by the constructors in this module
+(``gaussian``, ``uniform``, ``triangle``, ``from_pieces``).  The one
+read-out is the closed-form (mass, first moment) pair over an interval,
+which is all the hat projection onto the lattice and the centering
+need; every integral downstream is therefore exact to rounding.  The
+module also builds Cantor sets with exact rational endpoints and
+provides the centering / truncation transforms that prepare measures
+for discretization.
 """
 
 import math
@@ -34,8 +35,6 @@ def _gauss_pdf(x, var):
 
 def _gauss_piece_moments(p, q, coef, var):
     """(m0, m1) of coef * N(0, var) density over [p, q]; p, q may be inf."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     s = math.sqrt(var)
     m0 = coef * (ndtr(q / s) - ndtr(p / s))
     m1 = coef * var * (_gauss_pdf(p, var) - _gauss_pdf(q, var))
@@ -45,8 +44,6 @@ def _gauss_piece_moments(p, q, coef, var):
 def _affine_piece_moments(p, q, c0, c1):
     # factored through (q - p) to stay stable for narrow pieces with
     # steep slopes
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     w = q - p
     s1 = p + q
     m0 = w * (c0 + 0.5 * c1 * s1)
@@ -62,7 +59,7 @@ class _Piece:
     gauss: tuple[tuple[float, float], ...]  # (coef, var) pairs
 
     def moments(self, p, q):
-        m0 = m1 = np.zeros(np.shape(p)) if np.ndim(p) else 0.0
+        m0 = m1 = np.zeros(np.shape(p))
         c0, c1 = self.affine
         if c0 != 0.0 or c1 != 0.0:
             a0, a1 = _affine_piece_moments(p, q, c0, c1)
@@ -72,79 +69,10 @@ class _Piece:
             m0, m1 = m0 + g0, m1 + g1
         return m0, m1
 
-
-class _Segments:
-    """Sorted disjoint pieces with closed-form interval moments."""
-
-    def __init__(self, pieces):
-        pieces = tuple(pieces)
-        for a, b in zip(pieces, pieces[1:]):
-            if not a.hi == b.lo:
-                raise ValueError("pieces must be contiguous and sorted")
-        for pc in pieces:
-            if not pc.lo < pc.hi:
-                raise ValueError("empty piece")
-            if (pc.affine != (0.0, 0.0)) and not (
-                math.isfinite(pc.lo) and math.isfinite(pc.hi)
-            ):
-                raise ValueError("affine terms need finite piece bounds")
-        self.pieces = pieces
-        self.edges = np.array([pieces[0].lo] + [pc.hi for pc in pieces])
-
-    def moments(self, a, b):
-        """(m0, m1) of the density over [a, b], scalars."""
-        if b <= a:
-            return 0.0, 0.0
-        out = np.zeros(2)
-        lo_idx = max(bisect_right(self.edges, a) - 1, 0)
-        for pc in self.pieces[lo_idx:]:
-            if pc.lo >= b:
-                break
-            p, q = max(pc.lo, a), min(pc.hi, b)
-            if q > p:
-                out += pc.moments(p, q)
-        return float(out[0]), float(out[1])
-
-    def moments_batch(self, p, q):
-        """(m0, m1) over many [p_i, q_i]; intervals must not straddle edges."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        mid = np.where(np.isfinite(p), p, q) * 0.5 + np.where(
-            np.isfinite(q), q, p
-        ) * 0.5
-        idx = np.clip(np.searchsorted(self.edges, mid, side="right") - 1, 0,
-                      len(self.pieces) - 1)
-        m0 = np.zeros_like(p)
-        m1 = np.zeros_like(p)
-        for j in np.unique(idx):
-            sel = idx == j
-            m0[sel], m1[sel] = self.pieces[j].moments(p[sel], q[sel])
-        return m0, m1
-
-    def clipped_scaled(self, lo, hi, factor):
-        pieces = []
-        for pc in self.pieces:
-            p, q = max(pc.lo, lo), min(pc.hi, hi)
-            if q <= p:
-                continue
-            aff = (pc.affine[0] * factor, pc.affine[1] * factor)
-            gauss = tuple((c * factor, v) for c, v in pc.gauss)
-            pieces.append(_Piece(p, q, aff, gauss))
-        return _Segments(pieces)
-
-    def reweighted_sides(self, c, d):
-        pieces = []
-        for pc in self.pieces:
-            parts = []
-            if pc.lo < 0.0 < pc.hi:
-                parts = [(pc.lo, 0.0, c), (0.0, pc.hi, d)]
-            else:
-                parts = [(pc.lo, pc.hi, c if pc.hi <= 0.0 else d)]
-            for p, q, w in parts:
-                aff = (pc.affine[0] * w, pc.affine[1] * w)
-                gauss = tuple((cf * w, v) for cf, v in pc.gauss)
-                pieces.append(_Piece(p, q, aff, gauss))
-        return _Segments(pieces)
+    def scaled(self, lo, hi, w):
+        """This piece's density times w, on [lo, hi]."""
+        return _Piece(lo, hi, (self.affine[0] * w, self.affine[1] * w),
+                      tuple((c * w, v) for c, v in self.gauss))
 
 
 # ---------------------------------------------------------------------------
@@ -155,63 +83,94 @@ class _Segments:
 class DensityMeasure:
     """A measure on the line given by a nonnegative piecewise density.
 
-    ``segments`` holds the contiguous pieces.  The measure is read only
-    through closed-form interval moments: ``moments`` gives the (mass,
-    first moment) pair over one interval and ``moments_batch`` the pairs
-    over many.  ``total_mass`` is 1 for probability measures and below 1
-    for sub-probability restrictions.  ``support`` (the closed hull of the
-    pieces, endpoints may be infinite) and ``breakpoints`` (the finite
-    piece edges) are read off the segments.
+    ``pieces`` are contiguous and sorted, each an affine density plus
+    Gaussian terms, read only through closed-form interval moments:
+    ``moments_batch`` gives the (mass, first moment) pairs over many
+    intervals, each inside one piece, and ``moments`` cuts one interval
+    at the piece edges and sums them.  ``total_mass`` is 1 for
+    probability measures, below 1 for sub-probability restrictions, and
+    the mass over the line when left out.  ``support`` (the closed hull,
+    endpoints may be infinite) and ``breakpoints`` (the finite edges) are
+    read off the pieces.
     """
 
-    segments: _Segments
-    total_mass: float = 1.0
+    pieces: tuple[_Piece, ...]
+    total_mass: float | None = None
+
+    def __post_init__(self):
+        for a, b in zip(self.pieces, self.pieces[1:]):
+            if not a.hi == b.lo:
+                raise ValueError("pieces must be contiguous and sorted")
+        for pc in self.pieces:
+            if not pc.lo < pc.hi:
+                raise ValueError("empty piece")
+            if (pc.affine != (0.0, 0.0)) and not (
+                math.isfinite(pc.lo) and math.isfinite(pc.hi)
+            ):
+                raise ValueError("affine terms need finite piece bounds")
+        mass = self.total_mass
+        if mass is None:
+            mass = self.moments(-math.inf, math.inf)[0]
+        object.__setattr__(self, "total_mass", float(mass))
+
+    @cached_property
+    def edges(self):
+        return np.array([self.pieces[0].lo] + [pc.hi for pc in self.pieces])
 
     @property
     def support(self):
-        edges = self.segments.edges
-        return float(edges[0]), float(edges[-1])
+        return float(self.edges[0]), float(self.edges[-1])
 
     @property
     def breakpoints(self):
-        return tuple(float(e) for e in self.segments.edges
-                     if math.isfinite(e))
+        return tuple(float(e) for e in self.edges if math.isfinite(e))
 
     def moments(self, a, b):
-        """(mass, first moment) of the density over [a, b]."""
-        return self.segments.moments(a, b)
+        """(mass, first moment) of the density over [a, b], scalars."""
+        p = np.maximum(self.edges[:-1], a)
+        q = np.minimum(self.edges[1:], b)
+        cut = q > p
+        if not cut.any():
+            return 0.0, 0.0
+        m0, m1 = self.moments_batch(p[cut], q[cut])
+        # a running sum in piece order: pairwise summation would round
+        # the centering weights differently
+        return float(np.cumsum(m0)[-1]), float(np.cumsum(m1)[-1])
 
     def moments_batch(self, p, q):
-        """(mass, first moment) over many intervals, for discretization."""
-        return self.segments.moments_batch(p, q)
+        """(mass, first moment) over many intervals [p_i, q_i], for
+        discretization.  Each interval must lie in one piece, the one that
+        holds its left end."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        idx = np.clip(np.searchsorted(self.edges, p, side="right") - 1, 0,
+                      len(self.pieces) - 1)
+        m0 = np.zeros_like(p)
+        m1 = np.zeros_like(p)
+        for j in np.unique(idx):
+            sel = idx == j
+            m0[sel], m1[sel] = self.pieces[j].moments(p[sel], q[sel])
+        return m0, m1
 
 
 # ---------------------------------------------------------------------------
 # Constructors
 
 
-def _measure_from_segments(segments, total_mass=None):
-    if total_mass is None:
-        total_mass = segments.moments(-math.inf, math.inf)[0]
-    return DensityMeasure(segments, float(total_mass))
-
-
-def gaussian(variance=1.0, total_mass=1.0):
-    """Centered Gaussian N(0, variance), optionally scaled."""
+def gaussian(variance=1.0):
+    """Centered Gaussian probability measure N(0, variance)."""
     if variance <= 0.0:
         raise PreconditionError("variance must be positive")
-    seg = _Segments(
-        [_Piece(-math.inf, math.inf, (0.0, 0.0), ((total_mass, variance),))]
+    return DensityMeasure(
+        (_Piece(-math.inf, math.inf, (0.0, 0.0), ((1.0, variance),)),), 1.0
     )
-    return _measure_from_segments(seg, total_mass=total_mass)
 
 
 def uniform(lo, hi):
     """Uniform probability measure on [lo, hi]."""
     if not lo < hi:
         raise PreconditionError("empty interval")
-    seg = _Segments([_Piece(lo, hi, (1.0 / (hi - lo), 0.0), ())])
-    return _measure_from_segments(seg, total_mass=1.0)
+    return DensityMeasure((_Piece(lo, hi, (1.0 / (hi - lo), 0.0), ()),), 1.0)
 
 
 def triangle(center=0.0, halfwidth=1e-3):
@@ -222,17 +181,16 @@ def triangle(center=0.0, halfwidth=1e-3):
     slope = h / halfwidth
     left = _Piece(center - halfwidth, center, (h - slope * center, slope), ())
     right = _Piece(center, center + halfwidth, (h + slope * center, -slope), ())
-    seg = _Segments([left, right])
-    return _measure_from_segments(seg, total_mass=1.0)
+    return DensityMeasure((left, right), 1.0)
 
 
 def from_pieces(pieces, total_mass=None):
     """Measure from (lo, hi, affine, gauss_terms) pieces with exact moments."""
-    segs = _Segments(
-        [_Piece(float(lo), float(hi), tuple(aff), tuple(gauss))
-         for lo, hi, aff, gauss in pieces]
+    return DensityMeasure(
+        tuple(_Piece(float(lo), float(hi), tuple(aff), tuple(gauss))
+              for lo, hi, aff, gauss in pieces),
+        total_mass,
     )
-    return _measure_from_segments(segs, total_mass=total_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +214,13 @@ def gamma_center(m):
         raise NumericToleranceError("singular centering system")
     c = p1 / det
     d = -n1 / det
-    seg = m.segments.reweighted_sides(c, d)
-    return _measure_from_segments(seg, total_mass=1.0), c, d
+    pieces = []
+    for pc in m.pieces:
+        if pc.lo < 0.0 < pc.hi:
+            pieces += [pc.scaled(pc.lo, 0.0, c), pc.scaled(0.0, pc.hi, d)]
+        else:
+            pieces.append(pc.scaled(pc.lo, pc.hi, c if pc.hi <= 0.0 else d))
+    return DensityMeasure(tuple(pieces), 1.0), c, d
 
 
 def truncate_normalize(m, R):
@@ -265,8 +228,9 @@ def truncate_normalize(m, R):
     mass = m.moments(-R, R)[0]
     if mass <= 1e-300:
         raise PreconditionError(f"no mass in [-{R}, {R}]")
-    seg = m.segments.clipped_scaled(-R, R, 1.0 / mass)
-    return _measure_from_segments(seg, total_mass=1.0)
+    pieces = [pc.scaled(max(pc.lo, -R), min(pc.hi, R), 1.0 / mass)
+              for pc in m.pieces if max(pc.lo, -R) < min(pc.hi, R)]
+    return DensityMeasure(tuple(pieces), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +310,7 @@ class GapConstants:
     quadratic_ok: bool
 
 
-def cantor_gap_constants(K, samples, seed=0, min_length=None):
+def cantor_gap_constants(K, samples, seed=0):
     """Empirical gap constants over random subintervals of the ambient.
 
     Samples interval lengths log-uniformly down to a resolution floor
@@ -362,8 +326,7 @@ def cantor_gap_constants(K, samples, seed=0, min_length=None):
     lo, hi = float(K.ambient[0]), float(K.ambient[1])
     span = hi - lo
     finest = float(min(b - a for a, b in K.intervals))
-    if min_length is None:
-        min_length = min(2.0 * finest, 0.5 * span)
+    min_length = min(2.0 * finest, 0.5 * span)
     rng = np.random.default_rng(seed)
     lengths = np.exp(
         rng.uniform(math.log(min_length), math.log(span), size=samples)

@@ -4,6 +4,8 @@ Path simulations run against solved stopping rules as a random walk
 that reproduces the engine's law exactly, empirical measures carry the
 statistical distances, and the Hermite expansion check provides an
 independent necessary condition on the assembled counter-example.
+Gaussian-weighted integrals all take their nodes from one piecewise
+Gauss-Legendre rule, ``gauss_legendre``.
 
 Randomness comes from a counter-based generator (Philox) keyed by the
 seed.  Start positions, drawn from a lattice measure, take one row of
@@ -44,10 +46,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Sorted Monte-Carlo samples with CDF evaluation."""
+    """Sorted Monte-Carlo samples, read by the KS statistics."""
 
     samples: np.ndarray
-    seed: int
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -57,12 +58,6 @@ class EmpiricalMeasure:
     @property
     def count(self):
         return self.samples.size
-
-    def cdf(self, x):
-        out = np.searchsorted(self.samples, np.asarray(x), side="right") / (
-            self.count
-        )
-        return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,6 @@ class FirstIntersectionResult:
     positions: np.ndarray  # path order
     times: np.ndarray  # path order
     exceeded: int
-    seed: int
 
 
 def _skip_raw(bit_generator, k):
@@ -244,11 +238,10 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
     x = pos / n
     times = T / float(n * n)
     return FirstIntersectionResult(
-        empirical=EmpiricalMeasure(x[~alive] if exceeded else x, cfg.seed),
+        empirical=EmpiricalMeasure(x[~alive] if exceeded else x),
         positions=x,
         times=times,
         exceeded=exceeded,
-        seed=cfg.seed,
     )
 
 
@@ -258,7 +251,6 @@ class CounterexampleSample:
 
     empirical: EmpiricalMeasure
     variance: float  # variance of the target Gaussian
-    seed: int
 
     def target_cdf(self, z):
         return ndtr(np.asarray(z) / math.sqrt(self.variance))
@@ -275,9 +267,8 @@ def simulate_counterexample(result, cfg: PathSimConfig):
     Y = rng.standard_normal(cfg.num_paths)
     Z = X + np.asarray(result.phi(X)) * Y
     return CounterexampleSample(
-        empirical=EmpiricalMeasure(Z, cfg.seed),
+        empirical=EmpiricalMeasure(Z),
         variance=float(result.C),
-        seed=cfg.seed,
     )
 
 
@@ -363,8 +354,34 @@ def _gauss_weight(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def hermite_check(phi, max_n=40, quad_tol=1e-9, breakpoints=(), window=8.5,
-                  nodes_per_piece=12):
+QUAD_WINDOW = 8.5  # Gaussian-weighted integrals run over [-8.5, 8.5]
+
+
+def gauss_legendre(breakpoints, piece_width, nodes):
+    """Piecewise Gauss-Legendre rule on [-QUAD_WINDOW, QUAD_WINDOW].
+
+    The breakpoints inside the window cut it into parts, each part is
+    split into equal pieces at most ``piece_width`` wide, and every piece
+    gets ``nodes`` nodes.  Returns the nodes and their weights, with no
+    weight function applied.
+    """
+    bps = np.asarray(breakpoints, dtype=float)
+    cuts = np.unique(np.concatenate(
+        [[-QUAD_WINDOW, QUAD_WINDOW],
+         bps[(bps > -QUAD_WINDOW) & (bps < QUAD_WINDOW)]]
+    ))
+    edges = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        k = max(int(math.ceil((b - a) / piece_width)), 1)
+        edges.append(np.linspace(a, b, k + 1)[:-1])
+    edges = np.concatenate(edges + [[QUAD_WINDOW]])
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * gl_x).ravel(), (half * gl_w).ravel()
+
+
+def hermite_check(phi, max_n=40, quad_tol=1e-9, breakpoints=()):
     """Expand phi and g = phi^2 in the Gaussian-weighted Hermite basis and
     test necessary conditions for X + phi(X) * Y to be N(0, C).
 
@@ -378,35 +395,24 @@ def hermite_check(phi, max_n=40, quad_tol=1e-9, breakpoints=(), window=8.5,
     the same quadrature, so the residual does not depend on max_n.  And
     f >= 0 with E f = 1 reads g <= b_0 + 1.
 
-    Quadrature is piecewise Gauss-Legendre on the breakpoints refined to a
-    maximum piece width; the node count is doubled once and the change in
-    every coefficient of phi and g, and in E g^2, must stay below quad_tol.
+    Quadrature is the piecewise Gauss-Legendre rule ``gauss_legendre`` on
+    the breakpoints with pieces at most 0.25 wide and 12 nodes a piece;
+    the node count is doubled once and the change in every coefficient of
+    phi and g, and in E g^2, must stay below quad_tol.
     """
     if max_n < 8:
         raise PreconditionError("max_n must be at least 8")
-    cuts = sorted({-window, window, *(float(b) for b in breakpoints
-                                      if -window < b < window)})
-    edges = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        k = max(int(math.ceil((b - a) / 0.25)), 1)
-        edges.append(np.linspace(a, b, k + 1)[:-1])
-    edges.append(np.array([window]))
-    edges = np.concatenate(edges)
 
     def project(n_nodes):
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        xs = (mid + half * gl_x[None, :]).ravel()
-        ws = (half * gl_w[None, :]).ravel() * _gauss_weight(xs)
+        xs, ws = gauss_legendre(breakpoints, 0.25, n_nodes)
+        ws = ws * _gauss_weight(xs)
         vals = np.asarray(phi(xs), dtype=float)
         g = vals * vals
         H = _normalized_hermite(xs, max_n)
         return H @ (vals * ws), H @ (g * ws), float((g * g) @ ws), g
 
-    coarse = project(nodes_per_piece)
-    coeffs, b, g2, g = project(nodes_per_piece * 2)
+    coarse = project(12)
+    coeffs, b, g2, g = project(24)
     drift = max(float(np.abs(coeffs - coarse[0]).max()),
                 float(np.abs(b - coarse[1]).max()), abs(g2 - coarse[2]))
     if drift > quad_tol:

@@ -175,8 +175,7 @@ class CantelliResult:
         return np.unique(np.concatenate([self.f.set_edges, self.f1.xs]))
 
 
-def run_pipeline(cfg: CantelliConfig | None = None,
-                 max_steps=None) -> CantelliResult:
+def run_pipeline(cfg: CantelliConfig | None = None) -> CantelliResult:
     """Assemble the counter-example for the given configuration.
 
     Builds the Cantor set and the two measures, re-centers them (which
@@ -217,7 +216,7 @@ def run_pipeline(cfg: CantelliConfig | None = None,
     marks.append(time.perf_counter())
 
     try:
-        sol = solve(mu0n, mu1n, max_steps=max_steps)
+        sol = solve(mu0n, mu1n)
     except PreconditionError as exc:
         raise PreconditionError(
             f"{exc}; the truncated problem violates the transport "
@@ -272,7 +271,6 @@ class AsymptoticsReport:
     """Behaviour of f1 - (1 - t0) on the far bands of the window."""
 
     min_deviation: float
-    max_deviation: float
     fitted_beta: float
     lower_bound_ok: bool
     inner_band_max: float
@@ -312,7 +310,6 @@ def f1_asymptotics_report(res: CantelliResult) -> AsymptoticsReport:
     outer_max = float((ys[outer] - level).max())
     return AsymptoticsReport(
         min_deviation=float(dev.min()),
-        max_deviation=float(dev.max()),
         fitted_beta=beta,
         lower_bound_ok=bool(dev.min() >= -tol),
         inner_band_max=inner_max,

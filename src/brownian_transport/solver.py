@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, NonTerminationError, PreconditionError
-from .lattice import LatticeMeasure
+from .lattice import LatticeMeasure, write_csv
 
 PHI_CLAMP = -1e-12  # round-off absorbed silently
 PHI_ABORT = -1e-9  # beyond this the run is inconsistent
@@ -464,7 +464,7 @@ def _leak(state, edges, t):
     )
 
 
-def _coincidence_violation(state: SolverState, tol=1e-10):
+def _coincidence_violation(state: SolverState):
     """Discrete coincidence check between zero-cost cells, per row.
 
     For zero cells x < y, with A the occupation (live + stopped) and M the
@@ -473,6 +473,7 @@ def _coincidence_violation(state: SolverState, tol=1e-10):
     Returns (row, message) for the first violation, or None.
     """
     zero = state.phi <= 0.0
+    tol = 1e-10  # slack of the interval mass order checks
     # D[..., j] = sum over cells i < j of (target - occupation)
     D = np.zeros(zero.shape[:-1] + (zero.shape[-1] + 1,))
     np.cumsum(state.target - (state.live + state.stopped), axis=-1,
@@ -554,11 +555,8 @@ class TransportSolution:
         return self.freeze_step / float(self.mesh_n**2)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("position,g_physical,q\n")
-            for x, g, q in zip(self.positions, self.freeze_time,
-                               self.survival):
-                fh.write(f"{x:.17g},{g:.17g},{q:.17g}\n")
+        write_csv(path, ("position", "g_physical", "q"),
+                  zip(self.positions, self.freeze_time, self.survival))
 
 
 def _run(state: SolverState, max_steps, observe) -> list:

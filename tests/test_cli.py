@@ -1,10 +1,12 @@
+import contextlib
+import io
 import os
 import re
 
 import numpy as np
 import pytest
 
-from brownian_transport import cli
+from brownian_transport import acceptance, cli
 from brownian_transport.cli import ENV_OUT_DIR, main
 from brownian_transport.lattice import LatticeMeasure
 from brownian_transport.pipeline import CantelliConfig, run_pipeline
@@ -344,27 +346,53 @@ def test_convergence_command(tmp_path, capsys):
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "n,ks_sampled,ks_exact,C,E_T"
     assert len(lines) == 3
+    # the rows are criterion 7's numbers on the same context
+    ctx = acceptance.AcceptanceContext(seed=3, paths=20000, meshes=(25, 50))
+    rows, gaps = acceptance.mesh_convergence(ctx)
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
+    details = acceptance.criterion_7(ctx).details
+    assert str(["%.5f" % r.ks_sampled for r in rows]) in details
+    assert str(["%.2e" % r.ks_exact for r in rows]) in details
+    gap = f"sup-node |f1(25) - f1(50)| = {gaps[0][0]:.6f}"
+    assert gap in capsys.readouterr().out
 
 
-def test_verify_command_scaled_down(tmp_path, capsys):
-    code = main([
-        "verify", "seed=1", "paths=4000", "meshes=32,64", "instances=5",
-        "gap_samples=200", "sim_mesh=16", "cells=5",
-    ])
-    out = capsys.readouterr().out
-    assert out.count("criterion") == 10
+@pytest.mark.parametrize("arg, message", [
+    ("meshes=", "meshes must name at least one mesh"),
+    ("paths=0", "paths must be at least 1, got 0"),
+])
+def test_convergence_over_nothing_exits_2(tmp_path, capsys, arg, message):
+    out = tmp_path / "out"
+    assert main(["convergence", arg, f"out_dir={out}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def scaled_down_verify():
+    """(exit code, standard output) of one scaled-down verify run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([
+            "verify", "seed=1", "paths=4000", "meshes=32,64", "instances=5",
+            "gap_samples=200", "sim_mesh=16", "cells=5",
+        ])
+    return code, out.getvalue()
+
+
+def test_verify_command_scaled_down(scaled_down_verify):
+    code, out = scaled_down_verify
+    lines = out.splitlines()
+    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 10
     assert "criteria passed" in out
     assert code in (0, 1)
 
 
-def test_verify_two_meshes_fail_the_cauchy_clause(capsys):
+def test_verify_two_meshes_fail_the_cauchy_clause(scaled_down_verify):
     # a Cauchy factor compares two mesh gaps, so two meshes cannot pass it
-    code = main([
-        "verify", "seed=1", "paths=4000", "meshes=32,64", "instances=5",
-        "gap_samples=200", "sim_mesh=16", "cells=5",
-    ])
-    line = next(s for s in capsys.readouterr().out.splitlines()
-                if "criterion 7:" in s)
+    code, out = scaled_down_verify
+    line = next(s for s in out.splitlines() if "criterion 7:" in s)
     assert line.startswith("[FAIL]")
     assert "needs three or more meshes, got 2" in line
     assert "nan" not in line

@@ -26,6 +26,18 @@ def two_bumps(a, b, w):
     ])
 
 
+def test_batch_reads_an_infinite_left_end_in_its_own_piece():
+    # the midpoint of (-inf, 0] is 0, the left edge of the next piece
+    m = bt.from_pieces([
+        (-math.inf, 0.0, (0.0, 0.0), [(1.0, 1.0)]),
+        (0.0, math.inf, (0.0, 0.0), [(2.0, 1.0)]),
+    ])
+    m0, m1 = m.moments_batch([-math.inf], [0.0])
+    assert (m0[0], m1[0]) == m.moments(-math.inf, 0.0)
+    assert m0[0] == pytest.approx(0.5, abs=1e-15)
+    assert m1[0] == pytest.approx(-1.0 / SQRT_2PI, abs=1e-15)
+
+
 class TestCdf:
     def test_gaussian_symmetry(self):
         assert cdf(bt.gaussian(1.0), 0.0) == pytest.approx(0.5, abs=1e-15)

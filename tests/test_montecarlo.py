@@ -26,14 +26,14 @@ def normal_cdf(x, var=1.0):
 
 class TestKsDistance:
     def test_single_sample_at_median(self):
-        e = mc.EmpiricalMeasure(np.array([0.0]), 0)
+        e = mc.EmpiricalMeasure(np.array([0.0]))
         assert mc.ks_distance(e, normal_cdf) == pytest.approx(0.5)
 
     def test_matching_law_stays_below_asymptotic_band(self):
         # 1.95 / sqrt(m) is the 99.9 percent KS quantile asymptotically
         rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
         m = 10**6
-        e = mc.EmpiricalMeasure(rng.standard_normal(m), 11)
+        e = mc.EmpiricalMeasure(rng.standard_normal(m))
         assert mc.ks_distance(e, normal_cdf) < 1.95 / math.sqrt(m)
 
     def test_location_shift_lower_bound(self):
@@ -42,14 +42,14 @@ class TestKsDistance:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(12)))
         m = 10**5
         delta = 0.2
-        e = mc.EmpiricalMeasure(rng.standard_normal(m), 12)
+        e = mc.EmpiricalMeasure(rng.standard_normal(m))
         d = mc.ks_distance(e, lambda x: normal_cdf(np.asarray(x) - delta))
         floor = delta * math.exp(-0.5 * delta**2) / math.sqrt(2 * math.pi)
         assert d >= 0.9 * floor
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
-            mc.ks_distance(mc.EmpiricalMeasure(np.array([]), 0), normal_cdf)
+            mc.ks_distance(mc.EmpiricalMeasure(np.array([])), normal_cdf)
 
 
 class TestLevyDistance:
@@ -246,7 +246,7 @@ def test_stopped_law_approaches_target_with_mesh():
 
 
 def test_empirical_measure_sorted_and_streamable():
-    e = mc.EmpiricalMeasure(np.array([0.3, -1.2, 0.0]), 0)
+    e = mc.EmpiricalMeasure(np.array([0.3, -1.2, 0.0]))
     assert np.array_equal(e.samples, [-1.2, 0.0, 0.3])
     assert e.count == 3
 

@@ -9,6 +9,6 @@ def test_star_import_names_only_existing_objects():
     assert set(bt.__all__) <= set(namespace)
 
 
-def test_density_measure_is_segments_and_mass():
+def test_density_measure_is_pieces_and_mass():
     names = [f.name for f in dataclasses.fields(bt.DensityMeasure)]
-    assert names == ["segments", "total_mass"]
+    assert names == ["pieces", "total_mass"]
