@@ -24,9 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
-from . import montecarlo as mc
+from . import measures, montecarlo as mc
 from .bruteforce import exhaustive_transport
 from .errors import ConsistencyError, NonTerminationError, PreconditionError
 from .lattice import LatticeMeasure
@@ -51,7 +50,8 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Shared parameters and cached pipeline runs for the suite."""
+    """Shared parameters, and the suite's pipeline runs and sampled
+    counter-example KS values, each computed once per mesh."""
 
     def __init__(self, seed=42, paths=1_000_000, meshes=(100, 200, 400),
                  random_instances=100, gap_samples=10_000, sim_mesh=16,
@@ -74,6 +74,7 @@ class AcceptanceContext:
         if not self.meshes:
             raise PreconditionError("meshes must name at least one mesh")
         self._pipelines = {}
+        self._sampled_ks = {}
         self.et_residuals = []  # (label, residual) from every solved instance
         self.checked_solves = 0  # solves run with InvariantCheck at every step
 
@@ -81,6 +82,17 @@ class AcceptanceContext:
         if n not in self._pipelines:
             self._pipelines[n] = run_pipeline(CantelliConfig(mesh_n=n))
         return self._pipelines[n]
+
+    def sampled_ks(self, n):
+        """KS of the counter-example sample (``paths`` draws, ``seed``) on
+        the mesh-n pipeline against N(0, C), drawn once per mesh."""
+        if n not in self._sampled_ks:
+            z = mc.simulate_counterexample(
+                self.pipeline(n),
+                mc.PathSimConfig(num_paths=self.paths, seed=self.seed),
+            )
+            self._sampled_ks[n] = mc.ks_distance(z.empirical, z.target_cdf)
+        return self._sampled_ks[n]
 
     @property
     def headline_mesh(self):
@@ -346,10 +358,7 @@ def criterion_5(ctx: AcceptanceContext):
 
 def criterion_6(ctx: AcceptanceContext):
     res = ctx.pipeline(ctx.headline_mesh)
-    z = mc.simulate_counterexample(
-        res, mc.PathSimConfig(num_paths=ctx.paths, seed=ctx.seed)
-    )
-    ks = mc.ks_distance(z.empirical, z.target_cdf)
+    ks = ctx.sampled_ks(ctx.headline_mesh)
     lo, hi = res.phi_range()
     spread = hi - lo
     ok = ks <= 0.01 and spread >= 0.01
@@ -374,8 +383,9 @@ def counterexample_exact_ks(res):
     ph = np.asarray(res.phi(xs))
     s = math.sqrt(res.C)
     zs = np.linspace(-4.5 * s, 4.5 * s, 801)
-    FZ = np.array([float(np.sum(ws * ndtr((z - xs) / ph))) for z in zs])
-    return float(np.abs(FZ - ndtr(zs / s)).max())
+    FZ = np.array([float(np.sum(ws * measures.ndtr((z - xs) / ph)))
+                   for z in zs])
+    return float(np.abs(FZ - measures.ndtr(zs / s)).max())
 
 
 class MeshRow(NamedTuple):
@@ -394,13 +404,10 @@ def mesh_convergence(ctx: AcceptanceContext):
     consecutive meshes the sup-node distances between their f1, over the
     whole window and on |x| <= R - 1."""
     runs = [ctx.pipeline(n) for n in ctx.meshes]
-    cfg = mc.PathSimConfig(num_paths=ctx.paths, seed=ctx.seed)
     rows, gaps = [], []
     for n, res in zip(ctx.meshes, runs):
-        z = mc.simulate_counterexample(res, cfg)
-        rows.append(MeshRow(n, mc.ks_distance(z.empirical, z.target_cdf),
-                            counterexample_exact_ks(res), float(res.C),
-                            res.solution.expected_time))
+        rows.append(MeshRow(n, ctx.sampled_ks(n), counterexample_exact_ks(res),
+                            float(res.C), res.solution.expected_time))
     for coarse, fine in zip(runs, runs[1:]):
         fc, ff = coarse.f1, fine.f1
         inner = np.abs(fc.xs) <= coarse.config.truncation_R - 1.0

@@ -18,7 +18,6 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NumericToleranceError, PreconditionError
 
@@ -27,6 +26,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # ---------------------------------------------------------------------------
 # Closed-form piece moments
+
+
+def ndtr(x):
+    """The standard normal CDF, ``scipy.special.ndtr``, for every module.
+
+    The lattice transport reads no Gaussian, so scipy.special is imported
+    on the first call only; that call rebinds this name to the ufunc, and
+    a later ``ndtr`` or ``measures.ndtr`` is one dictionary lookup away.
+    """
+    global ndtr
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _gauss_pdf(x, var):
@@ -98,6 +109,8 @@ class DensityMeasure:
     total_mass: float | None = None
 
     def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("a measure needs at least one piece")
         for a, b in zip(self.pieces, self.pieces[1:]):
             if not a.hi == b.lo:
                 raise ValueError("pieces must be contiguous and sorted")

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import measures
 from .errors import NonTerminationError, NumericToleranceError, PreconditionError
 from .lattice import LatticeMeasure
 from .solver import TransportSolution
@@ -253,7 +253,7 @@ class CounterexampleSample:
     variance: float  # variance of the target Gaussian
 
     def target_cdf(self, z):
-        return ndtr(np.asarray(z) / math.sqrt(self.variance))
+        return measures.ndtr(np.asarray(z) / math.sqrt(self.variance))
 
 
 def simulate_counterexample(result, cfg: PathSimConfig):

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import measures
 from .errors import PreconditionError
 from .lattice import LatticeMeasure, discretize
 from .measures import (
@@ -95,7 +95,8 @@ def build_problem(cfg: CantelliConfig, cantor: CantorSet | None = None):
         cantor = cfg.cantor()
     t0 = cfg.t0
     ivals = cantor.float_intervals()
-    inside = float(np.sum(ndtr(ivals[:, 1]) - ndtr(ivals[:, 0])))
+    inside = float(np.sum(measures.ndtr(ivals[:, 1])
+                          - measures.ndtr(ivals[:, 0])))
     c = 1.0 - inside
     inv = 1.0 / c
 

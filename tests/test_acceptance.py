@@ -221,3 +221,24 @@ def test_criterion_1_reference_is_the_exact_variance_gap():
     assert acceptance.criterion_1(ctx).passed
     assert len(ctx.et_residuals) == 227
     assert max(gap for _, gap in ctx.et_residuals) < 1e-11
+
+
+def test_counterexample_sample_drawn_once_per_mesh(monkeypatch):
+    # criterion 6 and criterion 7's headline row read one sampled KS
+    draws = []
+    simulate = mc.simulate_counterexample
+
+    def counting(res, cfg):
+        draws.append(res.config.mesh_n)
+        return simulate(res, cfg)
+
+    monkeypatch.setattr(mc, "simulate_counterexample", counting)
+    ctx = acceptance.AcceptanceContext(seed=1, paths=4000, meshes=(16, 32))
+    c6 = acceptance.criterion_6(ctx)
+    rows, _ = acceptance.mesh_convergence(ctx)
+    acceptance.criterion_7(ctx)
+    assert sorted(draws) == [16, 32]
+    z = simulate(ctx.pipeline(32), mc.PathSimConfig(num_paths=4000, seed=1))
+    ks = mc.ks_distance(z.empirical, z.target_cdf)
+    assert rows[-1].ks_sampled == ks
+    assert f"KS(Z, N(0, C)) = {ks:.5f} at 4000 samples" in c6.details

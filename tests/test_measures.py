@@ -26,6 +26,25 @@ def two_bumps(a, b, w):
     ])
 
 
+GAUSS = (0.0, 0.0), [(1.0, 1.0)]  # affine and Gaussian terms of N(0, 1)
+
+
+@pytest.mark.parametrize("pieces, message", [
+    ([], "a measure needs at least one piece"),
+    ([(0.0, 0.0, (1.0, 0.0), [])], "empty piece"),
+    ([(1.0, 0.5, (1.0, 0.0), [])], "empty piece"),
+    ([(-math.inf, 0.0, *GAUSS), (0.5, math.inf, *GAUSS)],
+     "pieces must be contiguous and sorted"),
+    ([(0.0, math.inf, *GAUSS), (-math.inf, 0.0, *GAUSS)],
+     "pieces must be contiguous and sorted"),
+    ([(0.0, math.inf, (1.0, 0.0), [])],
+     "affine terms need finite piece bounds"),
+])
+def test_malformed_pieces_are_refused_by_name(pieces, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bt.from_pieces(pieces)
+
+
 def test_batch_reads_an_infinite_left_end_in_its_own_piece():
     # the midpoint of (-inf, 0] is 0, the left edge of the next piece
     m = bt.from_pieces([
