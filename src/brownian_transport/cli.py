@@ -35,8 +35,9 @@ _COMMANDS = ("solve", "pipeline", "verify", "cantor", "convergence")
 _VALID_KEYS = {
     "solve": {"mu0", "mu1", "out_dir", "verbose", "max_steps"},
     "pipeline": {"t0", "r", "depth", "R", "n", "margin", "out_dir", "svg"},
+    # verify writes no file, so it takes no out_dir
     "verify": {"seed", "paths", "meshes", "instances", "gap_samples",
-               "sim_mesh", "cells", "out_dir"},
+               "sim_mesh", "cells"},
     "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir"},
     "convergence": {"meshes", "paths", "seed", "out_dir"},
 }

@@ -27,8 +27,11 @@ batch of instances of equal window width, with arrays of shape
 in integer lattice units.  `start_state` is the one set-up: it checks the
 transport hypotheses and builds the cost profile row by row from start
 and target masses on a common window, and `init_state` is its one-row
-case for two `LatticeMeasure`s.  `_advance` is the one stepping kernel;
-it acts along the last axis, so one instance is the one-row case.
+case for two `LatticeMeasure`s, placed on their joint support window by
+`joint_window`.  A row's default step budget follows its support hull,
+so cells padded onto a row do not raise it.  `_advance` is the one
+stepping kernel; it acts along the last axis, so one instance is the
+one-row case.
 `_run` is the one run loop: `solve` runs it on one instance and
 `solve_batch` on a batch state.  A row leaves the batch at the step at
 which its live mass falls to LIVE_TOL, because stepping it further would
@@ -180,12 +183,9 @@ class SolverState:
                 f"{self.mesh_n[i]}, window from cell {self.offset[i]})")
 
 
-def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
-    """Validate the transport hypotheses and set up the step-0 state.
-
-    Places both measures on their joint support window and runs the
-    checks of `start_state` on it, after checking that the meshes agree.
-    """
+def joint_window(mu0n: LatticeMeasure, mu1n: LatticeMeasure):
+    """The first cell of the joint support window of two measures of one
+    mesh, and their start and target masses on it."""
     if mu0n.mesh_n != mu1n.mesh_n:
         raise PreconditionError(
             f"mesh mismatch: {mu0n.mesh_n} vs {mu1n.mesh_n}"
@@ -196,7 +196,17 @@ def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
     live, target = np.zeros(w), np.zeros(w)
     for out, m, (a, b) in zip((live, target), (mu0n, mu1n), spans):
         out[a - lo : b - lo + 1] = m.masses[a - m.offset : b - m.offset + 1]
-    return start_state(mu0n.mesh_n, lo, live, target)
+    return lo, live, target
+
+
+def init_state(mu0n: LatticeMeasure, mu1n: LatticeMeasure) -> SolverState:
+    """Validate the transport hypotheses and set up the step-0 state.
+
+    Places both measures on their joint support window (`joint_window`,
+    which checks that the meshes agree) and runs the checks of
+    `start_state` on it.
+    """
+    return start_state(mu0n.mesh_n, *joint_window(mu0n, mu1n))
 
 
 def start_state(mesh_n, offset, live, target) -> SolverState:
@@ -565,19 +575,14 @@ def _run(state: SolverState, max_steps, observe) -> list:
 
     Every check holds per row: the mass drift stays within 1e-12, the
     cost has vanished when the live mass runs out, the row terminates
-    within its step budget (``max_steps``, or by default
-    50 n^2 max(W, 1)^2 for a window W wide in physical units), and its
-    frozen mass ends within 1e-9 of the target.  A row leaves the state
-    at the step at which its live mass falls to LIVE_TOL.
+    within its step budget (`_budgets`), and its frozen mass ends within
+    1e-9 of the target.  A row leaves the state at the step at which its
+    live mass falls to LIVE_TOL.
     """
+    budget = _budgets(state, max_steps)
     state._buffers()
-    width = state.live.shape[-1] - 1
     meshes = np.reshape(state.mesh_n, -1).tolist()
     offsets = np.reshape(state.offset, -1).tolist()
-    budget = [
-        int(50 * n**2 * max(width / n, 1.0) ** 2) if max_steps is None
-        else max_steps for n in meshes
-    ]
     live_sum, stopped_sum, _ = state._sums.tolist()
     total0 = [a + b for a, b in zip(live_sum, stopped_sum)]
     drift_tol = [1e-12 * max(1.0, m) for m in total0]
@@ -625,6 +630,23 @@ def _run(state: SolverState, max_steps, observe) -> list:
                 raise ConsistencyError(
                     f"mass drift beyond 1e-12 at step {t}{state._name(i)}"
                 )
+
+
+def _budgets(state, max_steps):
+    """Each row's step budget: ``max_steps``, or by default
+    50 n^2 max(W, 1)^2 for a row whose support hull, the cells from the
+    first to the last that carry start or target mass, is W wide in
+    physical units.  The hull is the window for a state that `init_state`
+    builds; cells padded onto a row do not raise its budget."""
+    meshes = np.reshape(state.mesh_n, -1)
+    if max_steps is not None:
+        return [max_steps] * meshes.size
+    w = state.live.shape[-1]
+    held = ((state.live != 0.0) | (state.target != 0.0)).reshape(-1, w)
+    # a row that holds nothing spans the window: argmax gives 0 both ways
+    width = w - 1 - np.argmax(held[:, ::-1], -1) - np.argmax(held, -1)
+    return [int(50 * n**2 * max(c / n, 1.0) ** 2)
+            for n, c in zip(meshes.tolist(), width.tolist())]
 
 
 def _solution(state, i, mesh_n, offset, moves, spans):

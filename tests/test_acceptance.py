@@ -19,8 +19,17 @@ import pytest
 
 from brownian_transport import acceptance
 from brownian_transport import montecarlo as mc
-from brownian_transport.errors import PreconditionError
+from brownian_transport import solver as solver_module
+from brownian_transport.errors import ConsistencyError, PreconditionError
+from brownian_transport.lattice import LatticeMeasure
 from brownian_transport.pipeline import f1_asymptotics_report
+from brownian_transport.solver import (
+    InvariantCheck,
+    init_state,
+    joint_window,
+    solve,
+    start_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +196,120 @@ def test_criterion_1_batches_keep_the_reference_digest():
     assert len(digests) == 227
     joined = hashlib.sha256("".join(digests).encode()).hexdigest()[:16]
     assert joined == "fbbc1ead997f6a7b"
+
+
+def _group_digest(solutions):
+    """The digest of `test_criterion_1_batches_keep_the_reference_digest`
+    over solutions in instance order."""
+    digests = []
+    for sol in solutions:
+        h = hashlib.sha256()
+        for arr, dtype in ((sol.freeze_step, "<i8"), (sol.survival, "<f8"),
+                           (sol.stopped.masses, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        digests.append(h.hexdigest()[:16])
+    return hashlib.sha256("".join(digests).encode()).hexdigest()[:16]
+
+
+def _random_pairs(seed, count=100):
+    rng = np.random.default_rng(seed)
+    return [acceptance.random_feasible_pair(rng) for _ in range(count)]
+
+
+def test_criterion_2_batches_keep_the_reference_digest():
+    # the `criterion_2 seed=0 instances=100` digest, taken with one `solve`
+    # per instance before criterion 2 ran as padded batches
+    assert _group_digest(acceptance.solve_padded(_random_pairs(0))) \
+        == "b6e7f07b6953817d"
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_padded_rows_match_solve(seed):
+    pairs = _random_pairs(seed)
+    batches = list(acceptance.padded_batches(
+        {k: (m0.mesh_n, *joint_window(m0, m1))
+         for k, (m0, m1) in enumerate(pairs)}))
+    # rows of several widths share each batch, padded by multiples of 8
+    assert max(max(pads) for _, pads, _ in batches) >= 16
+    assert all(pad % 8 == 0 for _, pads, _ in batches for pad in pads)
+    for (m0, m1), a in zip(pairs, acceptance.solve_padded(pairs)):
+        b = solve(m0, m1)
+        assert a.offset == b.offset
+        for name in ("freeze_step", "survival"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.stopped.masses.tobytes() == b.stopped.masses.tobytes()
+        assert (a.steps, a.expected_time.hex(), a.max_time.hex()) == \
+            (b.steps, b.expected_time.hex(), b.max_time.hex())
+
+
+def test_padded_row_keeps_the_step_budget_of_solve():
+    # at mesh 1 a window of w cells gets 50 (w - 1)^2 steps; a row padded
+    # from 5 to 21 cells keeps 800, not the padded window's 20 000
+    pairs = [
+        (LatticeMeasure(1, 0, np.array([1.0])),
+         LatticeMeasure(1, -2, np.full(5, 0.2))),
+        (LatticeMeasure(1, 3, np.array([1.0])),
+         LatticeMeasure(1, -7, np.full(21, 1 / 21))),
+    ]
+    (keys, pads, arrays), = acceptance.padded_batches(
+        {k: (m0.mesh_n, *joint_window(m0, m1))
+         for k, (m0, m1) in enumerate(pairs)})
+    assert keys == [0, 1] and pads == [16, 0]
+    expected = [solver_module._budgets(init_state(*p), None)[0]
+                for p in pairs]
+    assert expected == [800, 20_000]
+    assert solver_module._budgets(start_state(*arrays), None) == expected
+
+
+def test_padded_failures_are_counted_per_instance(monkeypatch):
+    # three failing instances: a mean mismatch that `start_state` refuses
+    # in a batch beside a good row of its width, a mesh mismatch refused
+    # before any batch, and a row whose run raises; each one alone gets no
+    # solution, and every other row its own
+    good = _random_pairs(0, 8)
+    expected = acceptance.solve_padded(good)
+    m0, m1 = good[1]
+    mirrored = (m0, LatticeMeasure(m1.mesh_n, m1.offset, m1.masses[::-1]))
+    bad_mesh = (LatticeMeasure(2, 0, np.array([1.0])),
+                LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5])))
+    planted = good[5][1].masses
+
+    class FailingRow(InvariantCheck):
+        """Raises at step 2 in any batch that holds good[5], the row
+        whose target ends in its target masses."""
+
+        def __call__(self, state):
+            super().__call__(state)
+            tail = state.target[:, -planted.size:]
+            if state.t == 2 and (tail == planted).all(-1).any():
+                raise ConsistencyError("planted")
+
+    monkeypatch.setattr(acceptance, "InvariantCheck", FailingRow)
+    sols = acceptance.solve_padded(good[:3] + [mirrored] + good[3:]
+                                   + [bad_mesh])
+    assert [k for k, sol in enumerate(sols) if sol is None] == [3, 6, 9]
+    del sols[9], sols[6], sols[3]
+    del expected[5]
+    assert _group_digest(sols) == _group_digest(expected)
+
+
+def test_criterion_1_counts_instances_unequal_to_the_oracle(monkeypatch):
+    oracle = acceptance.exhaustive_transport
+    calls = []  # the oracle's results so far
+
+    def late_freeze(live, target, max_steps):
+        ref = oracle(live, target, max_steps=max_steps)
+        calls.append(ref)
+        if len(calls) == 5:  # one cell of one instance freezes a step late
+            x = next(x for x, s in enumerate(ref["g"]) if s is not None)
+            ref["g"][x] += 1
+        return ref
+
+    monkeypatch.setattr(acceptance, "exhaustive_transport", late_freeze)
+    r = acceptance.criterion_1(acceptance.AcceptanceContext(
+        enumeration_cells=4))
+    assert not r.passed
+    assert "equal to the exact oracle's on 226;" in r.details
 
 
 def test_criterion_7_prints_every_cauchy_factor():

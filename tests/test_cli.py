@@ -287,6 +287,15 @@ def test_verify_zero_counts_exit_2(capsys, arg, message):
     assert message in capsys.readouterr().err
 
 
+def test_verify_refuses_out_dir(tmp_path, capsys):
+    # verify writes no file: an out_dir would be accepted and then ignored
+    out = tmp_path / "never"
+    assert main(["verify", f"out_dir={out}"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys for verify: ['out_dir']; valid: ['cells'," in err
+    assert not out.exists()
+
+
 def test_verify_one_cell(capsys):
     main([
         "verify", "seed=1", "paths=2000", "meshes=16,32", "instances=2",

@@ -150,11 +150,26 @@ class TestSolve:
         w1 = QUARTERS.trimmed().with_window(sol.offset, hi).masses
         ref = exhaustive_transport(w0, w1)
         assert ref["g"] == sol.freeze_step.tolist()
-        assert np.allclose(ref["q"], sol.survival, atol=0)
-        assert np.allclose(ref["parked"], sol.stopped.masses, atol=0)
+        # the exact oracle's values, each rounded once to a float
+        assert np.array_equal(ref["q"], sol.survival)
+        assert np.array_equal(ref["parked"], sol.stopped.masses)
         assert len(snaps.states) == len(ref["walking_history"])
         for ours, theirs in zip(snaps.states, ref["walking_history"]):
             assert np.array_equal(ours.live, np.asarray(theirs))
+
+    def test_oracle_conserves_mass_exactly_at_every_step(self):
+        # walking plus parked mass is the input total, 1, at every step of
+        # every criterion-1 instance at 4 cells, in exact numerators
+        for v0, v1 in enumerate_instances(4):
+            w = max(i for i, m in enumerate(v1) if m) + 1
+            ref = exhaustive_transport(np.array(v0[:w]) / 8.0,
+                                       np.array(v1[:w]) / 8.0)
+            bits = ref["scale_bits"]
+            assert 1 << bits == 8 // math.gcd(8, *v0, *v1)
+            history = list(zip(ref["walking_exact"], ref["parked_exact"]))
+            assert len(history) == len(ref["walking_history"])
+            for t, (walking, parked) in enumerate(history):
+                assert sum(walking) + sum(parked) == 1 << (bits + t)
 
     def test_expected_time_equals_stop_time_average(self):
         snaps = Snapshots()
