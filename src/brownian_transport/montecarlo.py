@@ -22,10 +22,23 @@ instead of drawing it; the stream stays where drawing would leave it.
 
 Since no path reads another path's words, the walk runs in chunks of
 WALK_CHUNK paths.  Chunk [lo, hi) owns a generator keyed by the seed,
-reads words lo..hi-1 of each row and skips the rest, so it sees the
-words the whole population would.  The chunks run in a thread pool with
-one worker per available CPU (drawing words and the integer array
-operations release the GIL) and give the same sample in any order.
+reads words lo..hi-1 of each row, the start row included, and skips the
+rest, so it sees the words the whole population would.  It writes the
+stop positions and times of its paths into its own slices of the
+outputs, and a stopped path stays in its place, parked off the window
+where no cell stops it, so no step compacts or gathers the paths.  The
+chunks run in a thread pool with one worker per available CPU (drawing
+words and the integer array operations release the GIL) and give the
+same sample in any order.
+
+Every other population-sized loop runs in the same chunks, so only the
+draws and the outputs outgrow a chunk.  The counter-example draws X
+whole, then Y chunk by chunk from the same generator, which fills
+sequentially, and turns X into Z = X + phi(X) * Y in place; the KS
+statistic evaluates the CDF and compares it with the empirical steps
+chunk by chunk, keeping the running maximum.  phi and the CDF are
+evaluated pointwise on chunks, so they must be elementwise functions;
+the sample and the statistic are then those of one pass, bit for bit.
 """
 
 import math
@@ -102,29 +115,8 @@ def _skip_raw(bit_generator, k):
     bit_generator.random_raw(tail)
 
 
-def _start_cells(start, num_paths, rng, n):
-    """Lattice indices k of num_paths starts k / n drawn from a
-    LatticeMeasure; a measure with mass off (1/n)Z is refused."""
-    if not isinstance(start, LatticeMeasure):
-        raise PreconditionError(
-            f"walks start from a LatticeMeasure, not from a "
-            f"{type(start).__name__}"
-        )
-    k = start.positions[start.masses > 0] * n
-    off = float(np.max(np.abs(k - np.rint(k)), initial=0.0)) / n
-    if off > 1e-9:
-        raise PreconditionError(
-            f"start measure on mesh {start.mesh_n} off the mesh-{n} lattice "
-            f"(1/{n})Z of the solution by up to {off:.3g}; walk mode needs "
-            f"starts on that lattice"
-        )
-    cum = np.cumsum(start.masses)
-    cum = cum / cum[-1]
-    cells = np.searchsorted(cum, rng.random(num_paths), side="right")
-    return np.rint((start.offset + cells) / start.mesh_n * n).astype(np.int64)
-
-
-WALK_CHUNK = 1 << 16  # paths per walk chunk: its rows stay in cache
+WALK_CHUNK = 1 << 16  # paths or draws per chunk: rows stay in cache
+_PARKED = -(1 << 62)  # a stopped path's cell: far left of the window
 
 
 def _cpus():
@@ -134,55 +126,58 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _walk_chunk(lo, hi, pos, T, g, q, freeze_steps, max_steps, seed):
+def _walk_chunk(lo, hi, num, cum, cells, g, q, freeze_steps, max_steps,
+                seed, n, offset, x, times):
     """Walk paths lo..hi-1 until they stop; return the ids still running.
 
-    The chunk's generator starts past the start row at word lo, draws the
+    The chunk's generator draws words lo..hi-1 of the start row, whose
+    uniforms pick start cells in the cumulative masses ``cum`` and map
+    through ``cells`` to cells of the window ``g``, then draws the
     chunk's hi - lo words of every row and skips the other words of the
-    row.  Only the slices [lo, hi) of the start cells ``pos`` and of the
-    stop steps ``T`` are written: ``pos`` ends at the stop cells.
+    row.  ``g`` and ``q`` carry a never-firing cell at each end; a
+    stopped path is parked off the window, where ``np.take`` clips it to
+    such a cell, so paths keep their places.  Only the slices [lo, hi) of
+    the stop positions ``x`` = (cell + offset) / n and of the stop times
+    ``times`` are written.
     """
-    num = pos.size
     m = hi - lo
     bits = np.random.Philox(key=np.uint64(seed))
-    _skip_raw(bits, num + lo)
-    pos, T = pos[lo:hi], T[lo:hi]
-    # running paths: ids in the chunk and positions
-    ids = np.arange(m)
-    p = pos.copy()
+    _skip_raw(bits, lo)
+    p = cells[np.searchsorted(cum, (bits.random_raw(m) >> 11) * 2.0**-53,
+                              side="right")]
+    _skip_raw(bits, num - m)
+    x, times = x[lo:hi], times[lo:hi]
+    running = m
     for t in range(max_steps + 1):
-        if ids.size == 0:
+        if not running:
             break
         # paths on cells frozen before t stop; those on cells frozen at t
         # stop with probability 1 - q and are the only survival-row readers
-        cand = np.flatnonzero((g <= t)[p])
+        cand = np.flatnonzero(np.take(g <= t, p, mode="clip"))
         pc = p[cand]
         stop = g[pc] < t
         if t in freeze_steps:
             due = np.flatnonzero(~stop)
             row = bits.random_raw(m)
-            u = (row[ids[cand[due]]] >> 11) * 2.0**-53
+            u = (row[cand[due]] >> 11) * 2.0**-53
             stop[due] = u >= q[pc[due]]
             _skip_raw(bits, num - m)
         else:
             _skip_raw(bits, num)
         out = cand[stop]
         if out.size:
-            T[ids[out]] = t
-            pos[ids[out]] = p[out]
-            keep = np.ones(ids.size, dtype=bool)
-            keep[out] = False
-            ids = ids[keep]
-            p = p[keep]
+            times[out] = t / float(n * n)
+            x[out] = (p[out] + offset) / n
+            p[out] = _PARKED
+            running -= out.size
         step = bits.random_raw(m).view(np.int64)
         _skip_raw(bits, num - m)
-        if ids.size < m:  # else every path runs, in row order
-            step = step[ids]
         step >>= 63  # 0 where random() < 0.5 (a step up), else -1
         step |= 1
         p += step
-    pos[ids] = p
-    return ids + lo
+    live = np.flatnonzero(p >= 0)
+    x[live] = (p[live] + offset) / n
+    return live + lo
 
 
 def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
@@ -191,32 +186,53 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
     ``stopping`` is a TransportSolution; anything else is refused.  Paths
     walk the solution's lattice (1/n)Z and stop by its discrete rule, with
     survival probabilities at freshly frozen cells.  The start is a
-    LatticeMeasure whose mass lies on that lattice.  Each step t takes one
-    row of num_paths raw words for the survival uniforms, skipped without
-    drawing when no cell freezes at t, and one row for the +-1 coins; only
-    paths still running are moved.  The paths are walked in chunks of
-    WALK_CHUNK (``_walk_chunk``), on a pool of one thread per available
-    CPU, inline when there is one chunk or one CPU; the sample does not
-    depend on either.  Paths still running at max_time are counted; more
-    than 0.1 percent of them fails the run.
+    LatticeMeasure whose mass lies on that lattice and inside the solved
+    window; both are checked on the cells of positive mass before any
+    word is drawn.  Start cells take one row of num_paths raw words, and
+    each step t one row for the survival uniforms, skipped without
+    drawing when no cell freezes at t, and one row for the +-1 coins.
+    The paths are walked in chunks of WALK_CHUNK (``_walk_chunk``), on a
+    pool of one thread per available CPU, inline when there is one chunk
+    or one CPU; the sample does not depend on either.  Paths still
+    running at max_time are counted; more than 0.1 percent of them fails
+    the run.
     """
     if not isinstance(stopping, TransportSolution):
         raise PreconditionError(
             f"paths are stopped by a TransportSolution, not by a "
             f"{type(stopping).__name__}"
         )
+    if not isinstance(start, LatticeMeasure):
+        raise PreconditionError(
+            f"walks start from a LatticeMeasure, not from a "
+            f"{type(start).__name__}"
+        )
     n = stopping.mesh_n
     num = cfg.num_paths
-    pos = _start_cells(start, num, _rng(cfg.seed), n)
-    pos -= stopping.offset
+    k = start.positions[start.masses > 0] * n
+    off = float(np.max(np.abs(k - np.rint(k)), initial=0.0)) / n
+    if off > 1e-9:
+        raise PreconditionError(
+            f"start measure on mesh {start.mesh_n} off the mesh-{n} lattice "
+            f"(1/{n})Z of the solution by up to {off:.3g}; walk mode needs "
+            f"starts on that lattice"
+        )
     g = stopping.freeze_step
-    if np.any(pos < 0) or np.any(pos >= g.size):
+    # start cells on the window, padded by one cell a side
+    cells = np.rint(start.cells / start.mesh_n * n).astype(np.int64)
+    cells -= stopping.offset - 1
+    if np.any(((cells < 1) | (cells > g.size)) & (start.masses > 0)):
         raise PreconditionError("start mass outside the solved window")
-    T = np.zeros(num, dtype=np.int64)
+    cum = np.cumsum(start.masses)
+    max_steps = int(math.ceil(cfg.max_time * n * n))
+    x = np.empty(num)
+    times = np.zeros(num)
     walk = partial(
-        _walk_chunk, pos=pos, T=T, g=g, q=stopping.survival,
-        freeze_steps=set(g.tolist()),
-        max_steps=int(math.ceil(cfg.max_time * n * n)), seed=cfg.seed,
+        _walk_chunk, num=num, cum=cum / cum[-1], cells=cells,
+        g=np.pad(g, 1, constant_values=max_steps + 1),
+        q=np.pad(stopping.survival, 1), freeze_steps=set(g.tolist()),
+        max_steps=max_steps, seed=cfg.seed, n=n,
+        offset=stopping.offset - 1, x=x, times=times,
     )
     los = range(0, num, WALK_CHUNK)
     his = [min(lo + WALK_CHUNK, num) for lo in los]
@@ -232,13 +248,8 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
         raise NonTerminationError(
             f"{exceeded} of {num} paths exceeded max_time"
         )
-    alive = np.zeros(num, dtype=bool)
-    alive[running] = True
-    pos += stopping.offset
-    x = pos / n
-    times = T / float(n * n)
     return FirstIntersectionResult(
-        empirical=EmpiricalMeasure(x[~alive] if exceeded else x),
+        empirical=EmpiricalMeasure(np.delete(x, running) if exceeded else x),
         positions=x,
         times=times,
         exceeded=exceeded,
@@ -263,9 +274,10 @@ def simulate_counterexample(result, cfg: PathSimConfig):
     claim is Z ~ N(0, C).
     """
     rng = _rng(cfg.seed)
-    X = rng.standard_normal(cfg.num_paths)
-    Y = rng.standard_normal(cfg.num_paths)
-    Z = X + np.asarray(result.phi(X)) * Y
+    Z = rng.standard_normal(cfg.num_paths)  # X, turned into Z in place
+    for lo in range(0, Z.size, WALK_CHUNK):
+        X = Z[lo:lo + WALK_CHUNK]
+        X += np.asarray(result.phi(X)) * rng.standard_normal(X.size)
     return CounterexampleSample(
         empirical=EmpiricalMeasure(Z),
         variance=float(result.C),
@@ -281,10 +293,13 @@ def ks_distance(e: EmpiricalMeasure, cdf):
     if e.count < 1:
         raise PreconditionError("empty sample")
     m = e.count
-    F = np.asarray(cdf(e.samples), dtype=float)
-    hi = np.arange(1, m + 1) / m
-    lo = np.arange(0, m) / m
-    return float(np.maximum(np.abs(hi - F), np.abs(lo - F)).max())
+    d = 0.0
+    for a in range(0, m, WALK_CHUNK):
+        b = min(a + WALK_CHUNK, m)
+        F = np.asarray(cdf(e.samples[a:b]), dtype=float)
+        d = np.maximum(d, np.maximum(np.abs(np.arange(a + 1, b + 1) / m - F),
+                                     np.abs(np.arange(a, b) / m - F)).max())
+    return float(d)
 
 
 DKW_ALPHA = 0.05

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,10 +281,12 @@ def test_start_other_than_a_lattice_measure_refused(start):
 
 
 def test_lattice_start_on_a_coarser_mesh_accepted():
-    # a mesh-1 law lies on (1/2)Z, and its zero-mass cells do not matter
+    # a mesh-1 law lies on (1/2)Z, and its zero-mass cells do not matter,
+    # not even outside the solved window
     sol = solve(LatticeMeasure(2, 0, np.array([1.0])),
                 LatticeMeasure(2, -1, np.array([0.5, 0.0, 0.5])))
-    for start in (DELTA0, LatticeMeasure(2, -1, np.array([0.0, 1.0, 0.0]))):
+    for start in (DELTA0, LatticeMeasure(2, -1, np.array([0.0, 1.0, 0.0])),
+                  LatticeMeasure(1, -4, np.eye(8)[4])):
         r = mc.simulate_first_intersection(
             start, sol, mc.PathSimConfig(num_paths=5, seed=0)
         )
@@ -440,3 +443,91 @@ def test_walk_pool_leaves_no_threads(monkeypatch):
         mc.PathSimConfig(num_paths=2001, seed=3),
     )
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("start", [
+    # 1e-12 of the mass three cells left of the window -1..1
+    LatticeMeasure(1, -4, np.array([1e-12, 0.0, 0.0, 0.0, 1.0])),
+    # and one cell right of it
+    LatticeMeasure(1, 0, np.array([1.0, 0.0, 1e-12])),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_start_mass_outside_the_window_refused_for_every_seed(start, seed):
+    # no path is likely to draw that mass, so the refusal must not wait
+    # for one to
+    sol = solve(DELTA0, HALVES)
+    with pytest.raises(PreconditionError,
+                       match="start mass outside the solved window"):
+        mc.simulate_first_intersection(
+            start, sol, mc.PathSimConfig(num_paths=2001, seed=seed)
+        )
+
+
+PINNED_SAMPLES = [
+    # counter-example draws on the mesh-16 result: sorted sample digest
+    # and KS statistic as a float hex; both sizes end inside a chunk
+    (100_003, 0, "a1456dc7fd73df75", "0x1.c7af9be656580p-9"),
+    (2001, 5, "d01e8898b80d3acc", "0x1.0a5d84362a8a0p-6"),
+]
+
+
+def _sample_digest(mesh16_pipeline, num, seed):
+    z = mc.simulate_counterexample(
+        mesh16_pipeline, mc.PathSimConfig(num_paths=num, seed=seed)
+    )
+    digest = hashlib.sha256(z.empirical.samples.tobytes()).hexdigest()[:16]
+    return digest, mc.ks_distance(z.empirical, z.target_cdf).hex()
+
+
+@pytest.mark.parametrize("num, seed, digest, ks", PINNED_SAMPLES)
+def test_counterexample_sample_and_ks_pinned(mesh16_pipeline, num, seed,
+                                             digest, ks):
+    assert _sample_digest(mesh16_pipeline, num, seed) == (digest, ks)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_pinned_sample_independent_of_chunk_size(monkeypatch,
+                                                 mesh16_pipeline, chunk):
+    num, seed, digest, ks = PINNED_SAMPLES[1]
+    monkeypatch.setattr(mc, "WALK_CHUNK", chunk)
+    assert _sample_digest(mesh16_pipeline, num, seed) == (digest, ks)
+
+
+def _traced_peak(f):
+    """f's result and the peak of traced memory above the start, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+CHUNK_TEMPS = 6 * 8 * mc.WALK_CHUNK  # bytes: six 8-byte words per chunk path
+
+
+def test_counterexample_and_ks_stream_in_chunks(mesh16_pipeline):
+    # the draws, turned into Z in place, and their sorted copy are the
+    # only population-sized arrays; the rest is a chunk's temporaries
+    def run():
+        z = mc.simulate_counterexample(
+            mesh16_pipeline, mc.PathSimConfig(num_paths=300_000, seed=2)
+        )
+        return z.empirical.samples.nbytes, mc.ks_distance(z.empirical,
+                                                          z.target_cdf)
+
+    (sample, ks), peak = _traced_peak(run)
+    assert ks < 0.01
+    assert peak <= 2 * sample + CHUNK_TEMPS
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_walk_streams_in_chunks(monkeypatch, mesh16_pipeline, cpus):
+    # positions, times and the sorted sample are held; each running
+    # chunk adds its own temporaries
+    _affinity(monkeypatch, cpus)
+    r, peak = _traced_peak(lambda: _pinned_walk(mesh16_pipeline, "mesh16",
+                                                300_000, 4))
+    held = r.positions.nbytes + r.times.nbytes + r.empirical.samples.nbytes
+    assert peak <= held + cpus * CHUNK_TEMPS
