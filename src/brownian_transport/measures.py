@@ -5,7 +5,11 @@ density plus Gaussian terms, built by the constructors in this module
 (``gaussian``, ``uniform``, ``triangle``, ``from_pieces``).  The one
 read-out is the closed-form (mass, first moment) pair over an interval,
 which is all the hat projection onto the lattice and the centering
-need; every integral downstream is therefore exact to rounding.  The
+need; every integral downstream is therefore exact to rounding.  Many
+intervals are read at once, one vectorized pass for all those in pieces
+of one shape (whether the affine term is nonzero, and the number of
+Gaussian terms), each term added in the same order as for one piece
+alone, so a value does not depend on what is read beside it.  The
 module also builds Cantor sets with exact rational endpoints and
 provides the centering / truncation transforms that prepare measures
 for discretization.
@@ -40,19 +44,22 @@ def ndtr(x):
     return ndtr(x)
 
 
-def _gauss_pdf(x, var):
-    return np.exp(-0.5 * x * x / var) / (_SQRT_2PI * math.sqrt(var))
+def _gauss_pdf(x, var, s):
+    return np.exp(-0.5 * x * x / var) / (_SQRT_2PI * s)
 
 
 def _gauss_piece_moments(p, q, coef, var):
-    """(m0, m1) of coef * N(0, var) density over [p, q]; p, q may be inf."""
-    s = math.sqrt(var)
+    """(m0, m1) of coef * N(0, var) density over [p, q]; p, q may be inf.
+    coef and var are scalars or hold one entry per interval."""
+    s = np.sqrt(var)
     m0 = coef * (ndtr(q / s) - ndtr(p / s))
-    m1 = coef * var * (_gauss_pdf(p, var) - _gauss_pdf(q, var))
+    m1 = coef * var * (_gauss_pdf(p, var, s) - _gauss_pdf(q, var, s))
     return m0, m1
 
 
 def _affine_piece_moments(p, q, c0, c1):
+    """(m0, m1) of the density c0 + c1 * x over [p, q], for finite p, q;
+    c0 and c1 are scalars or hold one entry per interval."""
     # factored through (q - p) to stay stable for narrow pieces with
     # steep slopes
     w = q - p
@@ -68,17 +75,6 @@ class _Piece:
     hi: float
     affine: tuple[float, float]  # density contribution c0 + c1*x
     gauss: tuple[tuple[float, float], ...]  # (coef, var) pairs
-
-    def moments(self, p, q):
-        m0 = m1 = np.zeros(np.shape(p))
-        c0, c1 = self.affine
-        if c0 != 0.0 or c1 != 0.0:
-            a0, a1 = _affine_piece_moments(p, q, c0, c1)
-            m0, m1 = m0 + a0, m1 + a1
-        for coef, var in self.gauss:
-            g0, g1 = _gauss_piece_moments(p, q, coef, var)
-            m0, m1 = m0 + g0, m1 + g1
-        return m0, m1
 
     def scaled(self, lo, hi, w):
         """This piece's density times w, on [lo, hi]."""
@@ -130,6 +126,19 @@ class DensityMeasure:
     def edges(self):
         return np.array([self.pieces[0].lo] + [pc.hi for pc in self.pieces])
 
+    @cached_property
+    def _terms(self):
+        """Per piece: its shape, coded 2 k + 1 with k Gaussian terms and a
+        nonzero affine term and 2 k without, its affine coefficients, and
+        its Gaussian (coef, var) pairs padded with zeros to one count."""
+        codes = np.array([2 * len(pc.gauss) + (pc.affine != (0.0, 0.0))
+                          for pc in self.pieces])
+        terms = np.zeros((len(self.pieces), codes.max() // 2, 2))
+        for row, pc in zip(terms, self.pieces):
+            for k, term in enumerate(pc.gauss):
+                row[k] = term
+        return codes, np.array([pc.affine for pc in self.pieces]), terms
+
     @property
     def support(self):
         return float(self.edges[0]), float(self.edges[-1])
@@ -153,16 +162,32 @@ class DensityMeasure:
     def moments_batch(self, p, q):
         """(mass, first moment) over many intervals [p_i, q_i], for
         discretization.  Each interval must lie in one piece, the one that
-        holds its left end."""
+        holds its left end; the intervals in pieces of one shape are read
+        together, with the coefficients of each interval's piece."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, p, side="right") - 1, 0,
                       len(self.pieces) - 1)
+        codes, affine, terms = self._terms
+        code = codes[idx]
         m0 = np.zeros_like(p)
         m1 = np.zeros_like(p)
-        for j in np.unique(idx):
-            sel = idx == j
-            m0[sel], m1[sel] = self.pieces[j].moments(p[sel], q[sel])
+        for c in np.unique(code).tolist():
+            sel = code == c
+            at, ps, qs = idx[sel], p[sel], q[sel]
+            # the terms added to zeros in the order of a piece read alone,
+            # the affine term first, so each value, signed zeros included,
+            # is the one that read gives
+            s0 = s1 = np.zeros(ps.shape)
+            if c % 2:
+                a0, a1 = _affine_piece_moments(ps, qs, affine[at, 0],
+                                               affine[at, 1])
+                s0, s1 = s0 + a0, s1 + a1
+            for k in range(c // 2):
+                g0, g1 = _gauss_piece_moments(ps, qs, terms[at, k, 0],
+                                              terms[at, k, 1])
+                s0, s1 = s0 + g0, s1 + g1
+            m0[sel], m1[sel] = s0, s1
         return m0, m1
 
 

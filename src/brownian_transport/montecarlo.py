@@ -43,7 +43,6 @@ the sample and the statistic are then those of one pass, bit for bit.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,6 +116,18 @@ def _skip_raw(bit_generator, k):
 
 WALK_CHUNK = 1 << 16  # paths or draws per chunk: rows stay in cache
 _PARKED = -(1 << 62)  # a stopped path's cell: far left of the window
+
+
+def ThreadPoolExecutor(max_workers):
+    """``concurrent.futures.ThreadPoolExecutor``, for the walk's chunks.
+
+    Only a walk on more than one CPU starts a pool, so the module, which
+    loads ``logging``, is imported on the first call only; that call
+    rebinds this name to the class, as `measures.ndtr` does.
+    """
+    global ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers)
 
 
 def _cpus():

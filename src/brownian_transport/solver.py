@@ -48,21 +48,32 @@ and outside that range a step changes nothing, so the arrays stay
 full-width and observers see them as before.  A batch steps whole rows:
 a part-row slice of a (rows, cells) array is strided, and numpy works it
 row by row, at several times the cost of the whole array for the narrow
-windows batches hold.  Most steps freeze nothing
-(754 of the 32 570 steps of the n = 200 pipeline): on such a quiet step
+windows batches hold.  Most steps freeze nothing (a cell freezes at
+754 of the 32 570 steps of the n = 200 pipeline): on such a quiet step
 d = live, so nothing stops and the step only halves, subtracts the
 halves from the cost and moves them.  A step is quiet when the halved
 live mass exceeds the cost on every cell of the range but the absorbing
-ones, which carry neither; any other step, and any doubt, takes the
-exact update above.  Arrivals stop on the absorbing cells of the range:
+ones, which carry neither; the test writes into a mask held with the
+range and counts the cells that pass, and any other step, and any
+doubt, takes the exact update above.  The cost stays nonnegative: a
+quiet step has just shown cost > live/2 on every cell that does not
+absorb, so cost - live/2 > 0 there, and 0 - 0 on the absorbing cells,
+so it needs no PHI_ABORT check; the exact update subtracts
+min(live/2, cost).  A negative cost is at most live/2, so the step that
+meets one is exact, and that step checks the cost it starts from
+against PHI_ABORT.  Arrivals stop on the absorbing cells of the range:
 one by one where there are a handful, listed when the range or the
-absorbing set changes, and through the absorbing mask otherwise.  The
-live and stopped sums behind the drift check and E T stay
-full-row sums of the whole window, since a sum over a slice rounds
-differently; the diffused mass of a quiet step is the live sum of the
-step before, the same reduction of the same numbers.  So freeze steps,
-survival, stopped mass, step counts, E T and the maximal time are bit
-for bit those of the full-window update.
+absorbing set changes, and through the absorbing mask otherwise.
+
+The live and stopped masses are the two rows of one occupation array,
+of shape (2, cells) or (2, rows, cells), which the run loop sets up, so
+one reduction along the last axis gives both full-row sums, each row
+summed pairwise as it would be alone.  They stay full-row sums of the
+whole window, since a sum over a slice rounds differently; the diffused
+mass of a quiet step is the live sum of the step before, the same
+reduction of the same numbers.  So freeze steps, survival, stopped
+mass, step counts, E T and the maximal time are bit for bit those of
+the full-window update.
 """
 
 import math
@@ -84,6 +95,9 @@ LIVE_TOL = 1e-12
 # 64 x 6 and 256 x 6 cells (2-core x86_64 host); one instance lands on 2
 # cells a step in the median, a criterion-1 batch on 14
 FEW_LANDING = 8
+# the kernel's factors, as 0-d arrays: a ufunc converts a Python float
+# operand on every call
+_HALF, _TWO = np.array(0.5), np.array(2.0)
 
 _ARRAYS = ("live", "stopped", "phi", "freeze_step", "survival", "target")
 
@@ -94,9 +108,11 @@ class SolverState:
 
     The arrays have shape (cells,) for one instance and (rows, cells) for
     a batch, whose `mesh_n`, `offset` and `rows` hold one entry per row.
-    The run loop updates the arrays in place and, when rows of a batch
-    finish, replaces them by the remaining rows, so an observer that
-    keeps an array beyond the current step must copy it.
+    When it starts, and whenever rows of a batch finish, the run loop
+    replaces the arrays: those of the finished rows are dropped, and
+    `live` and `stopped` become the two rows of a new occupation array.
+    In between it updates them in place, so an observer that keeps an
+    array beyond the current step must copy it.
     """
 
     mesh_n: int | np.ndarray
@@ -112,16 +128,19 @@ class SolverState:
     absorbing: np.ndarray = field(init=False)  # freeze_step >= 0
     # the last step at which mass stopped, per row: a record of the run
     _last_stop: np.ndarray = field(init=False, repr=False)
-    # set up by the run loop (`_buffers`): the kernel's work buffers, the
+    # set up by the run loop (`_buffers`): the occupation, which holds
+    # `live` and `stopped` as its two rows, the kernel's work buffers, the
     # edge cells of live and diffused mass, the full-row sums of live,
     # stopped and diffused mass (rows of `_sums`, written through views
     # shaped like the leading axes), the live span, and the arrival range
     # with its landing cells
+    _occupation: np.ndarray = field(init=False, repr=False, default=None)
     _diffused: np.ndarray = field(init=False, repr=False, default=None)
     _half: np.ndarray = field(init=False, repr=False, default=None)
+    _passed: np.ndarray = field(init=False, repr=False, default=None)
     _edges: tuple = field(init=False, repr=False, default=None)
     _sums: np.ndarray = field(init=False, repr=False, default=None)
-    _sum_out: list = field(init=False, repr=False, default=None)
+    _sum_out: tuple = field(init=False, repr=False, default=None)
     _span: tuple = field(init=False, repr=False, default=None)
     _range: "_ArrivalRange" = field(init=False, repr=False, default=None)
     _landing: tuple = field(init=False, repr=False, default=None)
@@ -133,15 +152,19 @@ class SolverState:
 
     def _buffers(self):
         lead, w = self.live.shape[:-1], self.live.shape[-1]
+        self._occupation = np.stack((self.live, self.stopped))
+        self.live, self.stopped = self._occupation
         self._diffused = np.zeros_like(self.live)
         # cell k at index k + 1: the cells beyond both edges hold zero
         self._half = np.zeros(lead + (w + 2,))
+        self._passed = np.empty(self.live.shape, dtype=bool)
         ends = np.s_[..., ::max(w - 1, 1)]  # cells 0 and w - 1
         self._edges = self.live[ends], self._diffused[ends]
         self._sums = np.empty((3, math.prod(lead)))
-        self._sum_out = [s.reshape(lead) for s in self._sums]
-        np.add.reduce(self.live, -1, out=self._sum_out[0])
-        np.add.reduce(self.stopped, -1, out=self._sum_out[1])
+        # the live and stopped sums, and the diffused one
+        self._sum_out = (self._sums[:2].reshape((2,) + lead),
+                         self._sums[2].reshape(lead))
+        np.add.reduce(self._occupation, -1, out=self._sum_out[0])
         # a batch steps whole rows (see the module docstring)
         self._span = _hull(self.live, 0, w - 1) if self.live.ndim == 1 \
             else (0, w - 1)
@@ -217,13 +240,14 @@ def start_state(mesh_n, offset, live, target) -> SolverState:
     The masses have shape (cells,) for one instance, with integer
     ``mesh_n`` and ``offset``, or (rows, cells) for a batch, with one mesh
     and one offset per row (a scalar applies to every row).  The state
-    takes the two arrays as its own, and the run loop steps ``live`` in
-    place.  Checked per row, in this order: both measures carry mass,
-    equal means and total masses (within 1e-9), a start support inside
-    the target's support hull, a target positive strictly inside the
-    start support, a cost that vanishes at both window edges within the
-    mean tolerance (and is then set to 0 there) and is nowhere below
-    PHI_CLAMP.  In a batch the error names the failing row's instance.
+    takes the two arrays as its own; the run loop steps a copy of
+    ``live``, so the given array keeps the start masses.  Checked per
+    row, in this order: both measures carry mass, equal means and total
+    masses (within 1e-9), a start support inside the target's support
+    hull, a target positive strictly inside the start support, a cost
+    that vanishes at both window edges within the mean tolerance (and is
+    then set to 0 there) and is nowhere below PHI_CLAMP.  In a batch the
+    error names the failing row's instance.
     """
     live = np.asarray(live, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -335,40 +359,52 @@ def _advance(state: SolverState):
     sums of the live and stopped mass after the step and of the diffused
     mass, updates the per-row records, and moves the live span to the
     cells that hold live mass after the step.  A row's last stop is the
-    last step at which a nonzero mass stopped or landed in it.
+    last step at which a nonzero mass stopped or landed in it.  Returns
+    whether the step was quiet; a quiet step does not write the sum of
+    the diffused mass, which is then the live sum before the step.
     """
     live, t = state.live, state.t
-    live_sum, stopped_sum, diffused = state._sum_out
+    occupied, diffused = state._sum_out
     if state._range is None:
         a, b = state._span
         _arrival_range(state, max(a - 1, 0), min(b + 1, live.shape[-1] - 1))
-    lo, hi, edge, ls, ps, hs, left, right, landing = state._range
+    lo, hi, edge, ls, ps, hs, left, right, landing, passed = state._range
     absorbing, few = state._landing
 
-    np.multiply(ls, 0.5, out=hs)
+    np.multiply(ls, _HALF, out=hs)
     # 2 phi <= live implies phi <= live / 2 (also where halving rounds),
     # and absorbing cells, with no live mass and no cost, pass too; so
     # when no other cell passes, no cell freezes, and otherwise the exact
     # update runs
-    quiet = np.count_nonzero(ps <= hs) == absorbing
-    if quiet:  # d == live: nothing stops, and the halves are final
+    np.less_equal(ps, hs, out=passed)
+    quiet = np.count_nonzero(passed) == absorbing
+    if quiet:
+        # quiet: d == live, nothing stops and the halves are final.  The
+        # test has just shown phi > live / 2 on every other cell, so
+        # phi - live / 2 > 0 there, and 0 - 0 on the absorbing cells: the
+        # cost stays nonnegative and PHI_ABORT needs no check
         if edge and np.count_nonzero(state._edges[0]):
             _leak(state, state._edges[0], t)
-        # the sum of d is the sum of live, taken at the end of last step
-        np.copyto(diffused, live_sum)
     else:
+        # a negative cost is at most live / 2, so the step that meets one
+        # is exact; the update itself keeps a cost nonnegative, as
+        # d / 2 = min(live / 2, phi) <= phi
+        if ps.min() < PHI_ABORT:
+            _negative_cost(state, ps, lo, hi, t)
         d = state._diffused  # zero outside the range, as d is there
         d[..., :lo] = 0.0
         d[..., hi + 1:] = 0.0
         ds = d[..., lo:hi + 1]
-        np.multiply(ps, 2.0, out=ds)
+        np.multiply(ps, _TWO, out=ds)
         # absorbing cells hold no live mass, so live > 0 excludes them
-        newly = (ls > 0.0) & (ds <= ls)
+        newly = np.less_equal(ds, ls, out=passed)
+        newly &= ls > 0.0
         np.minimum(ls, ds, out=ds)
         frozen = np.count_nonzero(newly)
         if frozen:
-            state.freeze_step[..., lo:hi + 1][newly] = t
-            state.survival[..., lo:hi + 1][newly] = ds[newly] / ls[newly]
+            np.copyto(state.freeze_step[..., lo:hi + 1], t, where=newly)
+            np.divide(ds, ls, out=state.survival[..., lo:hi + 1],
+                      where=newly)
             state.absorbing[..., lo:hi + 1] |= newly
             # the new absorbing cells land arrivals from this step on
             absorbing += frozen
@@ -379,19 +415,10 @@ def _advance(state: SolverState):
             _leak(state, state._edges[1], t)
         np.subtract(ls, ds, out=ls)  # the mass stopping at t
         state.stopped[..., lo:hi + 1] += ls
-        state._last_stop[np.logical_or.reduce(ls, axis=-1).reshape(-1)] = t
-        np.multiply(ds, 0.5, out=hs)
+        np.copyto(state._last_stop, t, where=np.logical_or.reduce(ls, -1))
+        np.multiply(ds, _HALF, out=hs)
         np.add.reduce(d, -1, out=diffused)
-
-    ps -= hs
-    if ps.min() < PHI_ABORT:
-        j = int(np.argmin(ps))
-        i, k = divmod(j, hi - lo + 1)
-        cell = int(np.reshape(state.offset, -1)[i]) + lo + k
-        raise ConsistencyError(
-            f"cost went negative ({ps.flat[j]:.3e}) at cell {cell}, "
-            f"step {t}{state._name(i)}"
-        )
+    np.subtract(ps, hs, out=ps)
 
     # live becomes the arrivals; those on absorbing cells stop at t + 1
     np.add(left, right, out=ls)
@@ -407,17 +434,28 @@ def _advance(state: SolverState):
         np.multiply(ls, landing, out=hs)
         state.stopped[..., lo:hi + 1] += hs
         ls -= hs
-        landed = np.logical_or.reduce(hs, axis=-1).reshape(-1)
-        state._last_stop[landed] = t + 1
-    np.add.reduce(live, -1, out=live_sum)
-    if absorbing or not quiet:
-        np.add.reduce(state.stopped, -1, out=stopped_sum)
+        np.copyto(state._last_stop, t + 1,
+                  where=np.logical_or.reduce(hs, -1))
+    # one reduction sums the live and the stopped rows
+    np.add.reduce(state._occupation, -1, out=occupied)
 
     if live.ndim == 1:
         span = _hull(live, lo, hi)
         if span != state._span:
             state._span, state._range = span, None
     state.t = t + 1
+    return quiet
+
+
+def _negative_cost(state, ps, lo, hi, t):
+    """Raise for the most negative cost on the range [lo, hi]."""
+    j = int(np.argmin(ps))
+    i, k = divmod(j, hi - lo + 1)
+    cell = int(np.reshape(state.offset, -1)[i]) + lo + k
+    raise ConsistencyError(
+        f"cost went negative ({ps.flat[j]:.3e}) at cell {cell}, "
+        f"step {t}{state._name(i)}"
+    )
 
 
 class _ArrivalRange(NamedTuple):
@@ -426,13 +464,17 @@ class _ArrivalRange(NamedTuple):
 
     lo: int
     hi: int
-    edge: bool  # whether the range holds a window edge
+    # whether the range holds a window edge cell that did not absorb when
+    # the range was set up; an absorbing cell holds no live mass at the
+    # top of a step and diffuses none
+    edge: bool
     live: np.ndarray
     phi: np.ndarray
     half: np.ndarray  # the halves of the range's own cells
     left: np.ndarray  # the halves arriving from the left neighbours
     right: np.ndarray  # the halves arriving from the right neighbours
     landing: np.ndarray  # whether each cell of the range is absorbing
+    passed: np.ndarray  # the quiet test's buffer: phi <= live / 2
 
 
 def _arrival_range(state, lo, hi):
@@ -447,11 +489,14 @@ def _arrival_range(state, lo, hi):
     landing = state.absorbing[..., lo:hi + 1]
     absorbing = np.count_nonzero(landing)
     few = _cells(landing, lo) if absorbing <= FEW_LANDING else None
+    first, last = state.absorbing[..., 0], state.absorbing[..., -1]
+    edge = (lo == 0 and not first.all()) \
+        or (hi == state.live.shape[-1] - 1 and not last.all())
     state._range = _ArrivalRange(
-        lo, hi, lo == 0 or hi == state.live.shape[-1] - 1,
+        lo, hi, edge,
         state.live[..., lo:hi + 1], state.phi[..., lo:hi + 1],
         half[..., lo + 1:hi + 2], half[..., lo:hi + 1],
-        half[..., lo + 2:hi + 3], landing)
+        half[..., lo + 2:hi + 3], landing, state._passed[..., lo:hi + 1])
     state._landing = absorbing, few
 
 
@@ -613,17 +658,20 @@ def _run(state: SolverState, max_steps, observe) -> list:
             state._keep(keep)
             state._buffers()
             moves = moves[:, keep]
-            total0, drift_tol = ([x for x, k in zip(v, keep) if k]
-                                 for v in (total0, drift_tol))
+            live_sum, total0, drift_tol = (
+                [x for x, k in zip(v, keep) if k]
+                for v in (live_sum, total0, drift_tol))
             ids = state.rows.tolist()
             limit = min(budget[k] for k in ids)
         t = state.t
         if t == len(moves):
             moves = np.concatenate((moves, np.empty_like(moves)))
         spans += state._span[1] - state._span[0] + 1
-        _advance(state)
-        moves[t] = state._sums[2]
-        live_sum, stopped_sum = state._sums[:2].tolist()
+        quiet = _advance(state)
+        sums = state._sums.tolist()
+        # a quiet step moves all the live mass it starts from
+        moves[t] = live_sum if quiet else sums[2]
+        live_sum, stopped_sum = sums[0], sums[1]
         for i, (a, b, m, tol) in enumerate(
                 zip(live_sum, stopped_sum, total0, drift_tol)):
             if abs(a + b - m) > tol:

@@ -57,6 +57,64 @@ def test_batch_reads_an_infinite_left_end_in_its_own_piece():
     assert m1[0] == pytest.approx(-1.0 / SQRT_2PI, abs=1e-15)
 
 
+# affine, Gaussian, mixed and empty pieces, with infinite ends
+MIXED = bt.from_pieces([
+    (-math.inf, -2.0, (0.0, 0.0), [(0.3, 1.0)]),
+    (-2.0, -0.5, (0.05, 0.01), [(0.2, 0.5)]),
+    (-0.5, 0.0, (0.1, -0.02), []),
+    (0.0, 0.25, (0.0, 0.0), []),
+    (0.25, 1.5, (0.0, 0.0), [(0.4, 2.0), (-0.1, 1.0)]),
+    (1.5, 3.0, (0.02, 0.003), [(0.1, 0.7), (0.05, 3.0)]),
+    (3.0, math.inf, (0.0, 0.0), [(0.2, 1.5)]),
+])
+
+
+def one_piece_read(piece, p, q):
+    """(mass, first moment) of one piece over intervals inside it, term by
+    term from zeros, as each piece was read before the pieces were
+    grouped by shape: the affine term if it is nonzero, then each
+    Gaussian term in order, with scalar coefficients."""
+    from scipy.special import ndtr
+
+    def pdf(x, var):
+        return np.exp(-0.5 * x * x / var) / (SQRT_2PI * math.sqrt(var))
+
+    m0 = m1 = np.zeros(np.shape(p))
+    c0, c1 = piece.affine
+    if c0 != 0.0 or c1 != 0.0:
+        w, s1 = q - p, p + q
+        m0 = m0 + w * (c0 + 0.5 * c1 * s1)
+        m1 = m1 + w * (0.5 * c0 * s1 + c1 * (p * p + p * q + q * q) / 3.0)
+    for coef, var in piece.gauss:
+        s = math.sqrt(var)
+        m0 = m0 + coef * (ndtr(q / s) - ndtr(p / s))
+        m1 = m1 + coef * var * (pdf(p, var) - pdf(q, var))
+    return m0, m1
+
+
+def test_moments_batch_reads_each_piece_bit_for_bit():
+    # intervals of every piece, the whole piece and its infinite ends
+    # among them, shuffled: pieces of one shape are read together
+    rng = np.random.default_rng(4)
+    intervals = []
+    for pc in MIXED.pieces:
+        lo = pc.lo if math.isfinite(pc.lo) else pc.hi - 6.0
+        hi = pc.hi if math.isfinite(pc.hi) else pc.lo + 6.0
+        cuts = np.sort(rng.uniform(lo, hi, (5, 2)), axis=1).tolist()
+        intervals += [(pc.lo, pc.hi), (pc.lo, cuts[0][1]),
+                      (cuts[1][0], pc.hi)] + cuts[2:]
+    p, q = np.array(intervals)[rng.permutation(len(intervals))].T
+    m0, m1 = MIXED.moments_batch(p, q)
+    shapes = set()
+    for pc in MIXED.pieces:
+        at = (p >= pc.lo) & (p < pc.hi)
+        r0, r1 = one_piece_read(pc, p[at], q[at])
+        assert m0[at].tobytes() == r0.tobytes()
+        assert m1[at].tobytes() == r1.tobytes()
+        shapes.add((pc.affine != (0.0, 0.0), len(pc.gauss)))
+    assert len(shapes) == 6
+
+
 class TestCdf:
     def test_gaussian_symmetry(self):
         assert cdf(bt.gaussian(1.0), 0.0) == pytest.approx(0.5, abs=1e-15)

@@ -7,6 +7,8 @@ from scipy.special import ndtr
 
 import brownian_transport as bt
 from brownian_transport.errors import PreconditionError
+from brownian_transport.lattice import discretize
+from brownian_transport.measures import gamma_center
 from brownian_transport.pipeline import (
     CantelliConfig,
     build_problem,
@@ -250,6 +252,44 @@ class TestRunPipeline:
         assert (d["freeze_steps"], d["mean_live_span"] * d["steps"]) == {
             16: (41, 19_086), 100: (373, 4_674_828), 200: (754, 37_425_912),
         }[n]
+
+
+# the centring constants (c0, d0, c1, d1) as float hex and, for mu0n and
+# mu1n, the first cell, the cell count and the sha256 of the masses (<f8),
+# as the moments were read one piece at a time: reading the pieces of
+# one shape together must keep them
+MOMENT_PINS = {
+    16: (("0x1.0000000000001p+0", "0x1.0000000000002p+0",
+          "0x1.0000000000002p+0", "0x1.0000000000000p+0"),
+         (-64, 129, "083da3b21a32e134d663017cd5b17954"
+                    "241649a1f317b54781fae90d79a83b83"),
+         (-64, 129, "a8ca07a5e4647d18e515f5728565eaa5"
+                    "a8eb57130375044d9e86b1754fa8ec7a")),
+    200: (("0x1.0000000000001p+0", "0x1.0000000000002p+0",
+           "0x1.0000000000002p+0", "0x1.0000000000000p+0"),
+          (-800, 1601, "01b6f253bdfcd8119a1db3f5455aece0"
+                       "91a8a3ad63b628e86d5e8c0e9c517b99"),
+          (-800, 1601, "6fe312a7a5f507a08698645c6b5bf266"
+                       "fd42e9c2130fdb8252421c3f8dc90592")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MOMENT_PINS))
+def test_centring_and_discretization_are_pinned(n):
+    # run_pipeline's steps before the solve
+    cfg = CantelliConfig(mesh_n=n)
+    constants, *pins = MOMENT_PINS[n]
+    mu0, mu1, _ = build_problem(cfg)
+    seen = []
+    for mu, (offset, cells, digest) in zip((mu0, mu1), pins):
+        centred, c, d = gamma_center(mu)
+        seen += [c.hex(), d.hex()]
+        m = discretize(centred, n, clip=cfg.truncation_R)
+        assert (m.offset, m.masses.size) == (offset, cells)
+        assert hashlib.sha256(
+            np.ascontiguousarray(m.masses, dtype="<f8").tobytes()
+        ).hexdigest() == digest
+    assert tuple(seen) == constants
 
 
 class TestTruncation:

@@ -58,3 +58,28 @@ def test_scipy_special_loads_on_the_first_gaussian_read_out(tmp_path):
                          env=env, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+SOLVE_ONLY_RUN = """
+import sys
+
+import numpy as np
+
+import brownian_transport as bt
+
+mu0 = bt.LatticeMeasure(1, 0, np.array([1.0]))
+mu1 = bt.LatticeMeasure(1, -2, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
+assert bt.solve(mu0, mu1).steps == 3
+loaded = {"concurrent.futures", "scipy.special"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
+
+
+def test_import_and_solve_load_neither_scipy_special_nor_a_thread_pool():
+    # in a fresh interpreter: the thread pool of the lattice walk, like the
+    # normal CDF, is imported on its first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", SOLVE_ONLY_RUN],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

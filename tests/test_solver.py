@@ -12,6 +12,7 @@ from brownian_transport.errors import (
     PreconditionError,
 )
 from brownian_transport.lattice import LatticeMeasure
+from brownian_transport.pipeline import CantelliConfig, run_pipeline
 from brownian_transport import solver as solver_module
 from brownian_transport.solver import (
     InvariantCheck,
@@ -413,9 +414,71 @@ class TestStartState:
         assert [s.steps for s in sols] == [1, 1]
         assert all(s.stopped.masses.tolist() == [1.0] for s in sols)
 
+    def test_the_given_start_masses_stay_as_they_are(self):
+        # the run steps the rows of its own occupation array
+        live, target = np.ones((2, 1)), np.ones((2, 1))
+        assert [s.steps for s in solve_batch(start_state(1, 0, live, target))
+                ] == [1, 1]
+        assert live.tolist() == [[1.0], [1.0]]
+
     def test_solve_batch_refuses_one_instance(self):
         with pytest.raises(PreconditionError, match="batch state"):
             solve_batch(init_state(DELTA0, HALVES))
+
+
+def planted_error(batch, name, value):
+    """The error of the point mass to four quarters, solved alone or as
+    row 1 of a batch of three, when an observer adds ``value`` to the
+    array ``name`` on cell -1 at the top of step 1, where that cell and
+    cell 1 hold one half of live mass each."""
+    def plant(state):
+        if state.t == 1:
+            getattr(state, name)[(1, 1) if batch else 1] += value
+
+    with pytest.raises(ConsistencyError) as err:
+        if batch:
+            solve_batch(SolverState.stack([init_state(DELTA0, QUARTERS)] * 3),
+                        observe=plant)
+        else:
+            solve(DELTA0, QUARTERS, observe=plant)
+    return str(err.value)
+
+
+ROW1 = " (instance 1 of the batch: mesh 1, window from cell -2)"
+
+
+class TestKernelChecks:
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_planted_live_mass_is_a_mass_drift(self, batch):
+        assert planted_error(batch, "live", 1e-9) == (
+            "mass drift beyond 1e-12 at step 1" + (ROW1 if batch else ""))
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_planted_negative_cost_stops_an_exact_step(self, batch):
+        # the cost of cell -1 is 1/4 at step 1; below zero it is at most
+        # half the live mass, so the step is exact
+        assert planted_error(batch, "phi", -1.0) == (
+            "cost went negative (-7.500e-01) at cell -1, step 1"
+            + (ROW1 if batch else ""))
+
+
+def nonnegative_cost(state):
+    assert state.phi.min() >= 0.0, state.t
+
+
+@pytest.mark.parametrize("n", [16, 100])
+def test_pipeline_cost_stays_nonnegative_at_every_step(n):
+    res = run_pipeline(CantelliConfig(mesh_n=n))
+    sol = solve(res.mu0n, res.mu1n, observe=nonnegative_cost)
+    assert sol.steps == res.solution.steps
+
+
+def test_criterion_1_batch_costs_stay_nonnegative_at_every_step():
+    pairs = enumerate_instances(6)
+    solved = 0
+    for _, state in width_batches(pairs):
+        solved += len(solve_batch(state, observe=nonnegative_cost))
+    assert solved == len(pairs) == 2902
 
 
 def violating_state():
