@@ -6,18 +6,17 @@ cache of pipeline runs and records each one's wall time.  Tolerances are
 fixed here, not configurable, and a count below 1 (paths, instances,
 samples, cells) is refused, since a criterion over nothing would pass.
 
-Criterion 1 works on the integer 1/8-grid vectors of its enumeration:
-`width_batches` builds each batch's step-0 state in one `start_state`
-pass over (rows x cells) arrays, `solve_by_width` solves the batches,
-and the exact integer oracle of `bruteforce` runs every instance again.
-The engine's freeze steps, survival and step count must equal the
-oracle's exactly, and its live mass at every step and its stopped mass
-must lie within 1e-12 of the exact values; the expected-time reference
-is the exact variance gap of the integers.  Criterion 2 solves its
-random instances as batches padded on the left (`padded_batches`,
-`solve_padded`), each row bit for bit as `solve` gives it and within
-its own step budget.  Criterion 7 reads its mesh table from
-`mesh_convergence`, which the ``convergence`` command writes out.
+Criteria 1 and 2 solve their instances as the batches padded on the
+left of `solve_padded`, each row bit for bit as `solve` gives it, within
+its own step budget, and failing on its own.  Criterion 1 takes its
+instances straight from the integer 1/8-grid vectors of its enumeration
+(`eighth_grid_instances`) and runs the exact integer oracle of
+`bruteforce` on each again.  The engine's freeze steps, survival and
+step count must equal the oracle's exactly, and its live mass at every
+step and its stopped mass must lie within 1e-12 of the exact values;
+the expected-time reference is the exact variance gap of the integers.
+Criterion 7 reads its mesh table from `mesh_convergence`, which the
+``convergence`` command writes out.
 """
 
 import itertools
@@ -81,7 +80,7 @@ class AcceptanceContext:
         self._pipelines = {}
         self._sampled_ks = {}
         self.et_residuals = []  # (label, residual) from every solved instance
-        self.checked_solves = 0  # solves run with InvariantCheck at every step
+        self.checked_solves = []  # per checked solve: True if it finished
 
     def pipeline(self, n):
         if n not in self._pipelines:
@@ -169,69 +168,36 @@ def enumerate_instances(cells=7):
     return pairs
 
 
-BATCH_ROWS = 256  # rows per criterion-1 batch, which bounds its memory
-ORACLE_STEPS = 100_000  # step budget of every criterion-1 solve and oracle
+BATCH_ROWS = 256  # rows per batch of criteria 1 and 2, which bounds its memory
+ORACLE_STEPS = 100_000  # step budget of every criterion-1 oracle run
 
 
-def width_batches(pairs):
-    """Step-0 states of pairs of 1/8-grid mass vectors from
-    `enumerate_instances`, in batches of equal window width and at most
-    BATCH_ROWS rows.
-
-    Yields each batch's indices into `pairs` and its state, built in one
-    `start_state` pass at mesh 1 on the window from cell 0 to the last
-    cell of the target, which the translation canon makes the target's
-    support hull.
-    """
-    by_width = defaultdict(list)
-    for k, (_, v1) in enumerate(pairs):
-        by_width[max(i for i, m in enumerate(v1) if m) + 1].append(k)
-    for w, group in by_width.items():
-        for first in range(0, len(group), BATCH_ROWS):
-            batch = group[first:first + BATCH_ROWS]
-            v = np.array([[pairs[k][0][:w], pairs[k][1][:w]] for k in batch])
-            yield batch, start_state(1, 0, v[:, 0] / 8.0, v[:, 1] / 8.0)
-
-
-def solve_by_width(pairs):
-    """Solve pairs of 1/8-grid mass vectors from `enumerate_instances` as
-    the batches of `width_batches`, with the invariant check at every
-    step, in at most ORACLE_STEPS steps.
-
-    Yields, batch by batch, each instance's index in `pairs`, its start
-    and target masses on its window, its solution and its live mass at
-    every step (the rows of one array).
-    """
-    for batch, state in width_batches(pairs):
-        live, target = state.live.copy(), state.target
-        check, rows, lives = InvariantCheck(), [], []
-
-        def observe(state):
-            check(state)
-            rows.append(state.rows)
-            lives.append(state.live.copy())
-
-        sols = solve_batch(state, max_steps=ORACLE_STEPS, observe=observe)
-        # regroup the snapshots by instance, in step order; an instance is
-        # seen at steps 0 to its last, the terminating one included
-        order = np.argsort(np.concatenate(rows), kind="stable")
-        ends = np.cumsum([sol.steps + 1 for sol in sols])[:-1]
-        histories = np.split(np.concatenate(lives)[order], ends)
-        yield from zip(batch, live, target, sols, histories)
+def eighth_grid_instances(pairs):
+    """The `solve_padded` instance map of pairs from `enumerate_instances`:
+    each pair's masses at mesh 1 on the window from cell 0 to the last
+    cell of the target, which the translation canon makes its hull."""
+    m = np.array(pairs) / 8
+    widths = m.shape[-1] - np.argmax(m[:, 1, ::-1] > 0, axis=-1)
+    return {k: (1, 0, m[k, 0, :w], m[k, 1, :w])
+            for k, w in enumerate(widths.tolist())}
 
 
 def criterion_1(ctx: AcceptanceContext):
     pairs = enumerate_instances(ctx.enumeration_cells)
+    instances = eighth_grid_instances(pairs)
     # the variance gap, exactly: the means agree and the masses are 1, so
     # Var1 - Var0 = sum of i^2 (v1_i - v0_i) / 8 over the cells i
     v = np.array(pairs)
     sq = np.arange(ctx.enumeration_cells) ** 2
     var_gap = ((v[:, 1] - v[:, 0]) @ sq) / 8.0
-    gaps = [0.0] * len(pairs)
     worst = worst_stop = 0.0
-    unequal = 0  # instances whose freeze record or step count differs
-    for k, live, target, sol, live_history in solve_by_width(pairs):
-        ref = exhaustive_transport(live, target, max_steps=ORACLE_STEPS)
+    failures = unequal = 0  # not solved; freeze record or steps unequal
+    for k, (sol, live_history) in solve_padded(instances, history=True):
+        ctx.checked_solves.append(sol is not None)
+        if sol is None:
+            failures += 1
+            continue
+        ref = exhaustive_transport(*instances[k][2:], max_steps=ORACLE_STEPS)
         # a cell that never froze reads freeze step 0 and survival 0 in the
         # engine's solution, and g = None in the oracle's
         g = [0 if s is None else s for s in ref["g"]]
@@ -244,18 +210,17 @@ def criterion_1(ctx: AcceptanceContext):
                 live_history - np.array(ref["walking_history"])).max()))
         worst_stop = max(worst_stop, float(np.abs(
             sol.stopped.masses - np.array(ref["parked"])).max()))
-        gaps[k] = abs(sol.expected_time - float(var_gap[k]))
-    ctx.et_residuals.extend(
-        (f"enum{v0}{v1}", gap) for (v0, v1), gap in zip(pairs, gaps)
-    )
-    ctx.checked_solves += len(pairs)
-    ok = unequal == 0 and worst <= 1e-12 and worst_stop <= 1e-12
+        ctx.et_residuals.append((f"enum{pairs[k][0]}{pairs[k][1]}",
+                                 abs(sol.expected_time - float(var_gap[k]))))
+    ok = failures == unequal == 0 and worst <= 1e-12 and worst_stop <= 1e-12
+    unsolved = f", {failures} not solved" if failures else ""
     return CriterionResult(
         1, "oracle equivalence on the 1/8 grid", ok,
-        f"{len(pairs)} canonical instances; freeze steps, survival and "
-        f"step counts equal to the exact oracle's on "
-        f"{len(pairs) - unequal}; worst per-step live gap {worst:.2e}, "
-        f"worst final gap {worst_stop:.2e} to it (tolerance 1e-12)",
+        f"{len(pairs)} canonical instances{unsolved}; freeze steps, "
+        f"survival and step counts equal to the exact oracle's on "
+        f"{len(pairs) - failures - unequal}; worst per-step live gap "
+        f"{worst:.2e}, worst final gap {worst_stop:.2e} to it (tolerance "
+        "1e-12)",
     )
 
 
@@ -331,58 +296,72 @@ def padded_batches(instances):
             yield keys, pads, (mesh, offset - pads, live, target)
 
 
-def _solve_rows(mesh, offset, live, target):
-    """Solutions of the rows of a padded batch, each checked by
-    `InvariantCheck` at every step; a batch that raises is split in
-    halves until each failing row stands alone, and its solution is
-    None."""
-    try:
-        return solve_batch(start_state(mesh, offset, live.copy(), target),
-                           observe=InvariantCheck())
-    except (ConsistencyError, NonTerminationError, PreconditionError):
-        if len(live) == 1:
-            return [None]
-    h = len(live) // 2
-    return (_solve_rows(mesh[:h], offset[:h], live[:h], target[:h])
-            + _solve_rows(mesh[h:], offset[h:], live[h:], target[h:]))
+def solve_padded(instances, history=False):
+    """Solve an instance map of `padded_batches` as its batches, with the
+    invariant check at every step and, per row, the step budget that
+    `solve` gives the instance; a batch that raises is split in halves
+    until each failing instance stands alone.
 
-
-def solve_padded(pairs):
-    """Solve pairs of start and target LatticeMeasures as the batches of
-    `padded_batches`, with the invariant check at every step and, per
-    row, the step budget that `solve` gives the instance.
-
-    Returns each pair's solution on its own window, or None where the
-    instance fails (a precondition, a check or its budget).  Freeze
-    steps, survival, stopped mass, steps, E T and maximal time are bit
-    for bit those of `solve`; the mean live span is the batch's window
-    width.
+    Yields, batch by batch, each key and the instance's solution on its
+    own window, or None where it fails (a precondition, a check or its
+    budget); with ``history``, (solution, live masses at every step as
+    the rows of one array), or (None, None).  Freeze steps, survival,
+    stopped mass, steps, E T and maximal time are bit for bit those of
+    `solve`; the mean live span is the batch's window width.
     """
-    instances, out = {}, [None] * len(pairs)
-    for k, (m0, m1) in enumerate(pairs):
+    for keys, pads, batch in padded_batches(instances):
+        check, rows, lives = InvariantCheck(), [], []
+
+        def record(state):
+            check(state)
+            rows.append(state.rows)
+            lives.append(state.live.copy())
+
         try:
-            instances[k] = (m0.mesh_n, *joint_window(m0, m1))
-        except PreconditionError:
-            pass  # refused before the run: the instance fails
-    for keys, pads, arrays in padded_batches(instances):
-        for k, pad, sol in zip(keys, pads, _solve_rows(*arrays)):
-            if sol is not None and pad:
+            sols = solve_batch(start_state(*batch),
+                               observe=record if history else check)
+        except (ConsistencyError, NonTerminationError, PreconditionError):
+            if len(keys) == 1:
+                yield keys[0], (None, None) if history else None
+            else:
+                h = len(keys) // 2
+                for half in (keys[:h], keys[h:]):
+                    yield from solve_padded(
+                        {k: instances[k] for k in half}, history)
+            continue
+        for i, (sol, pad) in enumerate(zip(sols, pads)):
+            if pad:
                 first = sol.offset + pad
-                sol = replace(
+                sols[i] = replace(
                     sol, offset=first, freeze_step=sol.freeze_step[pad:],
                     survival=sol.survival[pad:],
                     stopped=LatticeMeasure(sol.mesh_n, first,
                                            sol.stopped.masses[pad:]))
-            out[k] = sol
-    return out
+        if history:
+            # regroup the snapshots by row, in step order; a row is seen at
+            # steps 0 to its last, the terminating one included
+            order = np.argsort(np.concatenate(rows), kind="stable")
+            ends = np.cumsum([sol.steps + 1 for sol in sols])[:-1]
+            histories = np.split(np.concatenate(lives)[order], ends)
+            sols = [(sol, live[:, pad:])
+                    for sol, live, pad in zip(sols, histories, pads)]
+        yield from zip(keys, sols)
 
 
 def criterion_2(ctx: AcceptanceContext):
     rng = np.random.default_rng(ctx.seed)
     pairs = [random_feasible_pair(rng) for _ in range(ctx.random_instances)]
-    worst = 0.0
-    failures = 0
-    for k, ((m0, m1), sol) in enumerate(zip(pairs, solve_padded(pairs))):
+    instances = {}
+    for k, (m0, m1) in enumerate(pairs):
+        try:
+            instances[k] = (m0.mesh_n, *joint_window(m0, m1))
+        except PreconditionError:
+            pass  # refused before the run: the instance fails
+    sols = dict(solve_padded(instances))
+    ctx.checked_solves.extend(sol is not None for sol in sols.values())
+    worst, failures = 0.0, 0
+    for k, (m0, m1) in enumerate(pairs):
+        sol = sols.get(k)
         if sol is None:
             failures += 1
             continue
@@ -392,7 +371,6 @@ def criterion_2(ctx: AcceptanceContext):
         worst = max(worst, float(np.abs(sol.stopped.masses - tgt).max()))
         rep = mc.expected_time_check(sol, m0, m1)
         ctx.et_residuals.append((f"random{k}", rep.residual))
-        ctx.checked_solves += 1
     ok = failures == 0 and worst <= 1e-9
     return CriterionResult(
         2, "termination and exactness on random instances", ok,
@@ -417,14 +395,16 @@ def criterion_3(ctx: AcceptanceContext):
 
 def criterion_4(ctx: AcceptanceContext):
     # criteria 1 and 2 run every solve with the coincidence check enabled;
-    # any violation raises and fails those criteria, so reaching this point
-    # with their instance counts recorded means zero violations
-    checked = ctx.checked_solves
-    ok = checked > 0
+    # a violation stops its solve, which is then counted as stopped, so
+    # only the finished solves ran violation-free
+    checked = sum(ctx.checked_solves)
+    stopped = len(ctx.checked_solves) - checked
+    ok = checked > 0 and stopped == 0
+    halted = f"; {stopped} more stopped on an error" if stopped else ""
     return CriterionResult(
         4, "discrete coincidence invariant", ok,
         f"asserted at every step of {checked} solves of criteria 1 and 2, "
-        "zero violations; the pipeline solve is not checked",
+        f"zero violations{halted}; the pipeline solve is not checked",
     )
 
 

@@ -15,12 +15,10 @@ from its definition at every step,
 with A and B the running sums of the difference and of z times it, in
 O(width).  Every decision compares integers: the cost against half the
 live mass, and the walking mass against the engine's LIVE_TOL.  Only the
-survival 2 phi / nu is a ratio; it is kept as a Fraction and never fed
-back.  No float arithmetic touches the state: the floats returned beside
-the exact values are each rounded once from them.
+survival 2 phi / nu is a ratio; it is rounded once to a float and never
+fed back.  No float arithmetic touches the state: the floats returned
+beside the exact values are each rounded once from them.
 """
-
-from fractions import Fraction
 
 from .errors import ConsistencyError, NonTerminationError
 from .solver import LIVE_TOL
@@ -43,10 +41,9 @@ def exhaustive_transport(mu0, mu1, max_steps=4096):
     cell, None where no cell froze) and ``q`` (the survival at it, a
     float), the final parked masses ``parked`` and the walking masses at
     every step, ``walking_history``, all as floats rounded once from the
-    exact values.  The exact values sit beside them: ``q_exact`` holds
-    each survival as a Fraction, and ``walking_exact`` and
-    ``parked_exact`` the walking and parked masses at every step as
-    integer numerators, over 2**(scale_bits + t) at step t.
+    exact values.  The exact values sit beside them: ``walking_exact``
+    and ``parked_exact`` hold the walking and parked masses at every step
+    as integer numerators, over 2**(scale_bits + t) at step t.
     """
     w = len(mu0)
     if len(mu1) != w:
@@ -55,7 +52,7 @@ def exhaustive_transport(mu0, mu1, max_steps=4096):
     walking, target = nums[:w], nums[w:]
     parked = [0] * w
     g = [None] * w
-    q = [None] * w  # survival as (2 phi, nu) at the freeze step
+    q = [None] * w  # survival 2 phi / nu at the freeze step
     tol_num, tol_den = LIVE_TOL.as_integer_ratio()
     walking_exact, parked_exact = [], []
 
@@ -80,14 +77,14 @@ def exhaustive_transport(mu0, mu1, max_steps=4096):
             if phi <= 0:
                 # absorbing cell: everything sitting here stops
                 if g[x] is None and nu:
-                    g[x], q[x] = t, (0, nu)
+                    g[x], q[x] = t, 0.0
                 out = 0
             elif 2 * phi > nu:
                 out = nu
             else:
                 # partial freeze, 2 phi walks on (all of it on a tie)
                 if g[x] is None:
-                    g[x], q[x] = t, (2 * phi, nu)
+                    g[x], q[x] = t, 2 * phi / nu  # correctly rounded
                 out = 2 * phi
             stays[x] = 2 * (parked[x] + nu - out)
             if out:
@@ -113,12 +110,11 @@ def exhaustive_transport(mu0, mu1, max_steps=4096):
 
     return {
         "g": g,
-        "q": [None if f is None else f[0] / f[1] for f in q],
+        "q": q,
         "parked": floats(parked, t),
         "walking_history": [floats(v, s)
                             for s, v in enumerate(walking_exact)],
         "scale_bits": bits,
-        "q_exact": [None if f is None else Fraction(*f) for f in q],
         "walking_exact": walking_exact,
         "parked_exact": parked_exact,
     }

@@ -180,27 +180,10 @@ def test_criterion_10_simulation_matches_law(suite):
     _assert_criterion(suite[1], 10)
 
 
-def test_criterion_1_batches_keep_the_reference_digest():
-    # sha256 of each solve's freeze_step (<i8), survival and stopped
-    # masses (<f8), cut to 16 hex digits, joined in enumeration order and
-    # hashed again: the `criterion_1 cells=4` digest, taken with one
-    # `solve` per instance before criterion 1 ran as width batches
-    pairs = acceptance.enumerate_instances(4)
-    digests = [None] * len(pairs)
-    for k, _, _, sol, _ in acceptance.solve_by_width(pairs):
-        h = hashlib.sha256()
-        for arr, dtype in ((sol.freeze_step, "<i8"), (sol.survival, "<f8"),
-                           (sol.stopped.masses, "<f8")):
-            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-        digests[k] = h.hexdigest()[:16]
-    assert len(digests) == 227
-    joined = hashlib.sha256("".join(digests).encode()).hexdigest()[:16]
-    assert joined == "fbbc1ead997f6a7b"
-
-
 def _group_digest(solutions):
-    """The digest of `test_criterion_1_batches_keep_the_reference_digest`
-    over solutions in instance order."""
+    """sha256 of each solution's freeze_step (<i8), survival and stopped
+    masses (<f8), cut to 16 hex digits, joined in instance order and
+    hashed again, cut to 16 hex digits."""
     digests = []
     for sol in solutions:
         h = hashlib.sha256()
@@ -216,23 +199,44 @@ def _random_pairs(seed, count=100):
     return [acceptance.random_feasible_pair(rng) for _ in range(count)]
 
 
+def _windows(pairs):
+    """The instance map that criterion 2 forms of pairs of start and
+    target LatticeMeasures."""
+    return {k: (m0.mesh_n, *joint_window(m0, m1))
+            for k, (m0, m1) in enumerate(pairs)}
+
+
+def _in_order(results):
+    """The results that `solve_padded` yields, in key order."""
+    return [result for _, result in sorted(results, key=lambda kv: kv[0])]
+
+
+def test_criterion_1_batches_keep_the_reference_digest():
+    # the `criterion_1 cells=4` digest, taken with one `solve` per
+    # instance before criterion 1 ran as batches
+    pairs = acceptance.enumerate_instances(4)
+    results = _in_order(acceptance.solve_padded(
+        acceptance.eighth_grid_instances(pairs), history=True))
+    assert len(results) == 227
+    assert _group_digest([sol for sol, _ in results]) == "fbbc1ead997f6a7b"
+
+
 def test_criterion_2_batches_keep_the_reference_digest():
     # the `criterion_2 seed=0 instances=100` digest, taken with one `solve`
     # per instance before criterion 2 ran as padded batches
-    assert _group_digest(acceptance.solve_padded(_random_pairs(0))) \
-        == "b6e7f07b6953817d"
+    results = acceptance.solve_padded(_windows(_random_pairs(0)))
+    assert _group_digest(_in_order(results)) == "b6e7f07b6953817d"
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_padded_rows_match_solve(seed):
     pairs = _random_pairs(seed)
-    batches = list(acceptance.padded_batches(
-        {k: (m0.mesh_n, *joint_window(m0, m1))
-         for k, (m0, m1) in enumerate(pairs)}))
+    batches = list(acceptance.padded_batches(_windows(pairs)))
     # rows of several widths share each batch, padded by multiples of 8
     assert max(max(pads) for _, pads, _ in batches) >= 16
     assert all(pad % 8 == 0 for _, pads, _ in batches for pad in pads)
-    for (m0, m1), a in zip(pairs, acceptance.solve_padded(pairs)):
+    results = acceptance.solve_padded(_windows(pairs))
+    for (m0, m1), a in zip(pairs, _in_order(results)):
         b = solve(m0, m1)
         assert a.offset == b.offset
         for name in ("freeze_step", "survival"):
@@ -251,9 +255,7 @@ def test_padded_row_keeps_the_step_budget_of_solve():
         (LatticeMeasure(1, 3, np.array([1.0])),
          LatticeMeasure(1, -7, np.full(21, 1 / 21))),
     ]
-    (keys, pads, arrays), = acceptance.padded_batches(
-        {k: (m0.mesh_n, *joint_window(m0, m1))
-         for k, (m0, m1) in enumerate(pairs)})
+    (keys, pads, arrays), = acceptance.padded_batches(_windows(pairs))
     assert keys == [0, 1] and pads == [16, 0]
     expected = [solver_module._budgets(init_state(*p), None)[0]
                 for p in pairs]
@@ -267,7 +269,7 @@ def test_padded_failures_are_counted_per_instance(monkeypatch):
     # before any batch, and a row whose run raises; each one alone gets no
     # solution, and every other row its own
     good = _random_pairs(0, 8)
-    expected = acceptance.solve_padded(good)
+    expected = _in_order(acceptance.solve_padded(_windows(good)))
     m0, m1 = good[1]
     mirrored = (m0, LatticeMeasure(m1.mesh_n, m1.offset, m1.masses[::-1]))
     bad_mesh = (LatticeMeasure(2, 0, np.array([1.0])),
@@ -285,12 +287,84 @@ def test_padded_failures_are_counted_per_instance(monkeypatch):
                 raise ConsistencyError("planted")
 
     monkeypatch.setattr(acceptance, "InvariantCheck", FailingRow)
-    sols = acceptance.solve_padded(good[:3] + [mirrored] + good[3:]
-                                   + [bad_mesh])
-    assert [k for k, sol in enumerate(sols) if sol is None] == [3, 6, 9]
-    del sols[9], sols[6], sols[3]
+    pairs = good[:3] + [mirrored] + good[3:] + [bad_mesh]
+    with pytest.raises(PreconditionError, match="mesh mismatch"):
+        _windows(pairs[9:])
+    sols = _in_order(acceptance.solve_padded(_windows(pairs[:9])))
+    assert [k for k, sol in enumerate(sols) if sol is None] == [3, 6]
+    del sols[6], sols[3]
     del expected[5]
     assert _group_digest(sols) == _group_digest(expected)
+    # criterion 2 counts all three, the refused one included
+    draws = iter(pairs)
+    monkeypatch.setattr(acceptance, "random_feasible_pair",
+                        lambda rng: next(draws))
+    r = acceptance.criterion_2(acceptance.AcceptanceContext(
+        random_instances=len(pairs)))
+    assert not r.passed
+    assert r.details.startswith("10 instances, 3 failures;")
+
+
+class PlantedViolation(InvariantCheck):
+    """Raises at step 2 in a batch that holds a row whose start and target
+    masses end in ``live`` and ``target`` at step 0 (rows are padded on
+    the left only)."""
+
+    live = target = None
+
+    def __call__(self, state):
+        super().__call__(state)
+        n = self.live.size
+        if state.t == 0:
+            self.held = state.live.shape[-1] >= n and bool((
+                (state.live[..., -n:] == self.live)
+                & (state.target[..., -n:] == self.target)).all(-1).any())
+        if state.t == 2 and self.held:
+            raise ConsistencyError("planted coincidence violation")
+
+
+def test_planted_criterion_1_failure_is_counted(monkeypatch):
+    # one row of the 227 instances at 4 cells fails in its batch; the
+    # other 226 are still solved and compared with the oracle
+    pairs = acceptance.enumerate_instances(4)
+    instances = acceptance.eighth_grid_instances(pairs)
+    planted = next(k for k, (sol, _) in acceptance.solve_padded(
+        instances, history=True) if sol.steps > 2)
+    monkeypatch.setattr(PlantedViolation, "live", instances[planted][2])
+    monkeypatch.setattr(PlantedViolation, "target", instances[planted][3])
+    monkeypatch.setattr(acceptance, "InvariantCheck", PlantedViolation)
+    oracle, calls = acceptance.exhaustive_transport, []
+
+    def counted(live, target, max_steps):
+        calls.append(max_steps)
+        return oracle(live, target, max_steps=max_steps)
+
+    monkeypatch.setattr(acceptance, "exhaustive_transport", counted)
+    ctx = acceptance.AcceptanceContext(enumeration_cells=4)
+    r = acceptance.criterion_1(ctx)
+    assert not r.passed
+    assert r.details.startswith("227 canonical instances, 1 not solved;")
+    assert "equal to the exact oracle's on 226;" in r.details
+    assert len(calls) == 226 and len(ctx.et_residuals) == 226
+    assert ctx.checked_solves.count(False) == 1
+
+
+def test_criterion_4_fails_on_a_stopped_solve(monkeypatch):
+    # one planted violation among criterion 2's 100 instances stops that
+    # solve: criterion 4 must not report the run as violation-free
+    ctx = acceptance.AcceptanceContext()
+    (live, target), = [
+        joint_window(m0, m1)[1:] for m0, m1 in _random_pairs(ctx.seed)[7:8]]
+    monkeypatch.setattr(PlantedViolation, "live", live)
+    monkeypatch.setattr(PlantedViolation, "target", target)
+    monkeypatch.setattr(acceptance, "InvariantCheck", PlantedViolation)
+    assert "100 instances, 1 failures;" in acceptance.criterion_2(ctx).details
+    r = acceptance.criterion_4(ctx)
+    assert not r.passed
+    assert r.details == (
+        "asserted at every step of 99 solves of criteria 1 and 2, zero "
+        "violations; 1 more stopped on an error; the pipeline solve is not "
+        "checked")
 
 
 def test_criterion_1_counts_instances_unequal_to_the_oracle(monkeypatch):

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from brownian_transport.bruteforce import exhaustive_transport
-from brownian_transport.acceptance import enumerate_instances, width_batches
+from brownian_transport.acceptance import (
+    eighth_grid_instances,
+    enumerate_instances,
+    padded_batches,
+)
 from brownian_transport.errors import (
     ConsistencyError,
     NonTerminationError,
@@ -369,10 +373,14 @@ class TestBatch:
 class TestStartState:
     @pytest.mark.parametrize("cells, count", [(4, 227), (6, 2902)])
     def test_batch_rows_equal_init_state(self, cells, count):
-        # compared as bytes, so a signed zero counts as a difference
+        # compared as bytes, so a signed zero counts as a difference; the
+        # widths of at most 7 cells differ mod 8, so no row is padded
         pairs = enumerate_instances(cells)
         seen = 0
-        for batch, state in width_batches(pairs):
+        for batch, pads, arrays in padded_batches(
+                eighth_grid_instances(pairs)):
+            assert not any(pads)
+            state = start_state(*arrays)
             for row, k in enumerate(batch):
                 ref = init_state(*(eighths(v) for v in pairs[k]))
                 for name in ("phi", "live", "target"):
@@ -476,8 +484,9 @@ def test_pipeline_cost_stays_nonnegative_at_every_step(n):
 def test_criterion_1_batch_costs_stay_nonnegative_at_every_step():
     pairs = enumerate_instances(6)
     solved = 0
-    for _, state in width_batches(pairs):
-        solved += len(solve_batch(state, observe=nonnegative_cost))
+    for _, _, arrays in padded_batches(eighth_grid_instances(pairs)):
+        solved += len(solve_batch(start_state(*arrays),
+                                  observe=nonnegative_cost))
     assert solved == len(pairs) == 2902
 
 
