@@ -22,9 +22,7 @@ from .measures import (
     from_pieces,
     gamma_center,
     gaussian,
-    triangle,
     truncate_normalize,
-    uniform,
 )
 from .montecarlo import (
     EmpiricalMeasure,
@@ -98,7 +96,5 @@ __all__ = [
     "solve",
     "solve_batch",
     "start_state",
-    "triangle",
     "truncate_normalize",
-    "uniform",
 ]

@@ -32,12 +32,31 @@ ENV_OUT_DIR = "BROWNIAN_TRANSPORT_OUT_DIR"
 
 _COMMANDS = ("solve", "pipeline", "verify", "cantor", "convergence")
 
+_PIPELINE_FIELDS = {
+    "t0": ("t0", float),
+    "r": ("cantor_radius", float),
+    "depth": ("cantor_depth", int),
+    "R": ("truncation_R", float),
+    "n": ("mesh_n", int),
+    "margin": ("horizon_margin", float),
+}
+
+_VERIFY_FIELDS = {
+    "seed": ("seed", int),
+    "paths": ("paths", int),
+    "meshes": ("meshes",
+               lambda v: tuple(int(m) for m in v.split(",") if m)),
+    "instances": ("random_instances", int),
+    "gap_samples": ("gap_samples", int),
+    "sim_mesh": ("sim_mesh", int),
+    "cells": ("enumeration_cells", int),
+}
+
 _VALID_KEYS = {
     "solve": {"mu0", "mu1", "out_dir", "verbose", "max_steps"},
-    "pipeline": {"t0", "r", "depth", "R", "n", "margin", "out_dir", "svg"},
+    "pipeline": set(_PIPELINE_FIELDS) | {"out_dir", "svg"},
     # verify writes no file, so it takes no out_dir
-    "verify": {"seed", "paths", "meshes", "instances", "gap_samples",
-               "sim_mesh", "cells"},
+    "verify": set(_VERIFY_FIELDS),
     "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir"},
     "convergence": {"meshes", "paths", "seed", "out_dir"},
 }
@@ -128,16 +147,6 @@ def _given(params, fields):
             if key in params}
 
 
-_PIPELINE_FIELDS = {
-    "t0": ("t0", float),
-    "r": ("cantor_radius", float),
-    "depth": ("cantor_depth", int),
-    "R": ("truncation_R", float),
-    "n": ("mesh_n", int),
-    "margin": ("horizon_margin", float),
-}
-
-
 def _cmd_pipeline(params):
     cfg = CantelliConfig(**_given(params, _PIPELINE_FIELDS))
     res = run_pipeline(cfg)
@@ -223,18 +232,6 @@ def _print_criterion(result):
     print(result.line())
     print(f"criterion {result.number}: {result.seconds:.2f} s",
           file=sys.stderr)
-
-
-_VERIFY_FIELDS = {
-    "seed": ("seed", int),
-    "paths": ("paths", int),
-    "meshes": ("meshes",
-               lambda v: tuple(int(m) for m in v.split(",") if m)),
-    "instances": ("random_instances", int),
-    "gap_samples": ("gap_samples", int),
-    "sim_mesh": ("sim_mesh", int),
-    "cells": ("enumeration_cells", int),
-}
 
 
 def _cmd_verify(params):

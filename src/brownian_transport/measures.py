@@ -1,15 +1,14 @@
-"""One-dimensional measures with piecewise Gaussian and affine densities.
+"""One-dimensional measures with piecewise Gaussian densities.
 
-Every measure is a `DensityMeasure` of contiguous pieces, each an affine
-density plus Gaussian terms, built by the constructors in this module
-(``gaussian``, ``uniform``, ``triangle``, ``from_pieces``).  The one
-read-out is the closed-form (mass, first moment) pair over an interval,
-which is all the hat projection onto the lattice and the centering
-need; every integral downstream is therefore exact to rounding.  Many
-intervals are read at once, one vectorized pass for all those in pieces
-of one shape (whether the affine term is nonzero, and the number of
-Gaussian terms), each term added in the same order as for one piece
-alone, so a value does not depend on what is read beside it.  The
+Every measure is a `DensityMeasure` of contiguous pieces, each a sum of
+centred Gaussian density terms, built by the constructors in this module
+(``gaussian``, ``from_pieces``).  The one read-out is the closed-form
+(mass, first moment) pair over an interval, which is all the hat
+projection onto the lattice and the centering need; every integral
+downstream is therefore exact to rounding.  Many intervals are read at
+once, one vectorized pass for all those in pieces of one shape (the
+number of Gaussian terms), each term added in the same order as for one
+piece alone, so a value does not depend on what is read beside it.  The
 module also builds Cantor sets with exact rational endpoints and
 provides the centering / truncation transforms that prepare measures
 for discretization.
@@ -57,29 +56,15 @@ def _gauss_piece_moments(p, q, coef, var):
     return m0, m1
 
 
-def _affine_piece_moments(p, q, c0, c1):
-    """(m0, m1) of the density c0 + c1 * x over [p, q], for finite p, q;
-    c0 and c1 are scalars or hold one entry per interval."""
-    # factored through (q - p) to stay stable for narrow pieces with
-    # steep slopes
-    w = q - p
-    s1 = p + q
-    m0 = w * (c0 + 0.5 * c1 * s1)
-    m1 = w * (0.5 * c0 * s1 + c1 * (p * p + p * q + q * q) / 3.0)
-    return m0, m1
-
-
 @dataclass(frozen=True)
 class _Piece:
     lo: float
     hi: float
-    affine: tuple[float, float]  # density contribution c0 + c1*x
     gauss: tuple[tuple[float, float], ...]  # (coef, var) pairs
 
     def scaled(self, lo, hi, w):
         """This piece's density times w, on [lo, hi]."""
-        return _Piece(lo, hi, (self.affine[0] * w, self.affine[1] * w),
-                      tuple((c * w, v) for c, v in self.gauss))
+        return _Piece(lo, hi, tuple((c * w, v) for c, v in self.gauss))
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +75,15 @@ class _Piece:
 class DensityMeasure:
     """A measure on the line given by a nonnegative piecewise density.
 
-    ``pieces`` are contiguous and sorted, each an affine density plus
-    Gaussian terms, read only through closed-form interval moments:
-    ``moments_batch`` gives the (mass, first moment) pairs over many
-    intervals, each inside one piece, and ``moments`` cuts one interval
-    at the piece edges and sums them.  ``total_mass`` is 1 for
-    probability measures, below 1 for sub-probability restrictions, and
-    the mass over the line when left out.  ``support`` (the closed hull,
-    endpoints may be infinite) and ``breakpoints`` (the finite edges) are
-    read off the pieces.
+    ``pieces`` are contiguous and sorted, each a sum of Gaussian terms,
+    read only through closed-form interval moments: ``moments_batch``
+    gives the (mass, first moment) pairs over many intervals, each inside
+    one piece, and ``moments`` cuts one interval at the piece edges and
+    sums them.  ``support`` (the closed hull, endpoints may be infinite)
+    and ``breakpoints`` (the finite edges) are read off the pieces.
     """
 
     pieces: tuple[_Piece, ...]
-    total_mass: float | None = None
 
     def __post_init__(self):
         if not self.pieces:
@@ -113,14 +94,6 @@ class DensityMeasure:
         for pc in self.pieces:
             if not pc.lo < pc.hi:
                 raise ValueError("empty piece")
-            if (pc.affine != (0.0, 0.0)) and not (
-                math.isfinite(pc.lo) and math.isfinite(pc.hi)
-            ):
-                raise ValueError("affine terms need finite piece bounds")
-        mass = self.total_mass
-        if mass is None:
-            mass = self.moments(-math.inf, math.inf)[0]
-        object.__setattr__(self, "total_mass", float(mass))
 
     @cached_property
     def edges(self):
@@ -128,16 +101,14 @@ class DensityMeasure:
 
     @cached_property
     def _terms(self):
-        """Per piece: its shape, coded 2 k + 1 with k Gaussian terms and a
-        nonzero affine term and 2 k without, its affine coefficients, and
-        its Gaussian (coef, var) pairs padded with zeros to one count."""
-        codes = np.array([2 * len(pc.gauss) + (pc.affine != (0.0, 0.0))
-                          for pc in self.pieces])
-        terms = np.zeros((len(self.pieces), codes.max() // 2, 2))
+        """Per piece: its shape, which is its number of Gaussian terms, and
+        its (coef, var) pairs padded with zeros to one count."""
+        counts = np.array([len(pc.gauss) for pc in self.pieces])
+        terms = np.zeros((len(self.pieces), counts.max(), 2))
         for row, pc in zip(terms, self.pieces):
             for k, term in enumerate(pc.gauss):
                 row[k] = term
-        return codes, np.array([pc.affine for pc in self.pieces]), terms
+        return counts, terms
 
     @property
     def support(self):
@@ -162,28 +133,25 @@ class DensityMeasure:
     def moments_batch(self, p, q):
         """(mass, first moment) over many intervals [p_i, q_i], for
         discretization.  Each interval must lie in one piece, the one that
-        holds its left end; the intervals in pieces of one shape are read
-        together, with the coefficients of each interval's piece."""
+        holds its left end; the intervals in pieces with one number of
+        Gaussian terms are read together, with the coefficients of each
+        interval's piece."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, p, side="right") - 1, 0,
                       len(self.pieces) - 1)
-        codes, affine, terms = self._terms
-        code = codes[idx]
+        counts, terms = self._terms
+        count = counts[idx]
         m0 = np.zeros_like(p)
         m1 = np.zeros_like(p)
-        for c in np.unique(code).tolist():
-            sel = code == c
+        for c in np.unique(count).tolist():
+            sel = count == c
             at, ps, qs = idx[sel], p[sel], q[sel]
             # the terms added to zeros in the order of a piece read alone,
-            # the affine term first, so each value, signed zeros included,
-            # is the one that read gives
+            # so each value, signed zeros included, is the one that read
+            # gives
             s0 = s1 = np.zeros(ps.shape)
-            if c % 2:
-                a0, a1 = _affine_piece_moments(ps, qs, affine[at, 0],
-                                               affine[at, 1])
-                s0, s1 = s0 + a0, s1 + a1
-            for k in range(c // 2):
+            for k in range(c):
                 g0, g1 = _gauss_piece_moments(ps, qs, terms[at, k, 0],
                                               terms[at, k, 1])
                 s0, s1 = s0 + g0, s1 + g1
@@ -199,36 +167,14 @@ def gaussian(variance=1.0):
     """Centered Gaussian probability measure N(0, variance)."""
     if variance <= 0.0:
         raise PreconditionError("variance must be positive")
-    return DensityMeasure(
-        (_Piece(-math.inf, math.inf, (0.0, 0.0), ((1.0, variance),)),), 1.0
-    )
+    return DensityMeasure((_Piece(-math.inf, math.inf, ((1.0, variance),)),))
 
 
-def uniform(lo, hi):
-    """Uniform probability measure on [lo, hi]."""
-    if not lo < hi:
-        raise PreconditionError("empty interval")
-    return DensityMeasure((_Piece(lo, hi, (1.0 / (hi - lo), 0.0), ()),), 1.0)
-
-
-def triangle(center=0.0, halfwidth=1e-3):
-    """Unit-mass triangular bump; narrow widths approximate a point mass."""
-    if halfwidth <= 0.0:
-        raise PreconditionError("halfwidth must be positive")
-    h = 1.0 / halfwidth  # peak height, d(x) = h * (1 - |x - center| / halfwidth)
-    slope = h / halfwidth
-    left = _Piece(center - halfwidth, center, (h - slope * center, slope), ())
-    right = _Piece(center, center + halfwidth, (h + slope * center, -slope), ())
-    return DensityMeasure((left, right), 1.0)
-
-
-def from_pieces(pieces, total_mass=None):
-    """Measure from (lo, hi, affine, gauss_terms) pieces with exact moments."""
-    return DensityMeasure(
-        tuple(_Piece(float(lo), float(hi), tuple(aff), tuple(gauss))
-              for lo, hi, aff, gauss in pieces),
-        total_mass,
-    )
+def from_pieces(pieces):
+    """Measure from (lo, hi, gauss_terms) pieces with exact moments, each
+    term a (coef, var) pair for coef times the N(0, var) density."""
+    return DensityMeasure(tuple(_Piece(float(lo), float(hi), tuple(gauss))
+                                for lo, hi, gauss in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +204,7 @@ def gamma_center(m):
             pieces += [pc.scaled(pc.lo, 0.0, c), pc.scaled(0.0, pc.hi, d)]
         else:
             pieces.append(pc.scaled(pc.lo, pc.hi, c if pc.hi <= 0.0 else d))
-    return DensityMeasure(tuple(pieces), 1.0), c, d
+    return DensityMeasure(tuple(pieces)), c, d
 
 
 def truncate_normalize(m, R):
@@ -268,7 +214,7 @@ def truncate_normalize(m, R):
         raise PreconditionError(f"no mass in [-{R}, {R}]")
     pieces = [pc.scaled(max(pc.lo, -R), min(pc.hi, R), 1.0 / mass)
               for pc in m.pieces if max(pc.lo, -R) < min(pc.hi, R)]
-    return DensityMeasure(tuple(pieces), 1.0)
+    return DensityMeasure(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,16 @@ class PathSimConfig:
             raise PreconditionError("num_paths must be >= 1")
         if self.max_time <= 0.0:
             raise PreconditionError("max_time must be positive")
+        check_seed(self.seed)
+
+
+def check_seed(seed):
+    """The seed as an int; a Philox key is one 64-bit word, so a seed
+    outside [0, 2^64) is refused."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _rng(seed):

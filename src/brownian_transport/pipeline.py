@@ -107,15 +107,12 @@ def build_problem(cfg: CantelliConfig, cantor: CantorSet | None = None):
             continue
         on_set = i % 2 == 1
         if on_set:
-            mu0_pieces.append((lo, hi, (0.0, 0.0),
-                               [(inv, t0), (-inv, 1.0)]))
-            mu1_pieces.append((lo, hi, (0.0, 0.0), []))
+            mu0_pieces.append((lo, hi, [(inv, t0), (-inv, 1.0)]))
+            mu1_pieces.append((lo, hi, []))
         else:
-            mu0_pieces.append((lo, hi, (0.0, 0.0), [(inv, t0)]))
-            mu1_pieces.append((lo, hi, (0.0, 0.0), [(inv, 1.0)]))
-    mu0 = from_pieces(mu0_pieces, total_mass=1.0)
-    mu1 = from_pieces(mu1_pieces, total_mass=1.0)
-    return mu0, mu1, c
+            mu0_pieces.append((lo, hi, [(inv, t0)]))
+            mu1_pieces.append((lo, hi, [(inv, 1.0)]))
+    return from_pieces(mu0_pieces), from_pieces(mu1_pieces), c
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,6 @@ FEW_LANDING = 8
 # operand on every call
 _HALF, _TWO = np.array(0.5), np.array(2.0)
 
-_ARRAYS = ("live", "stopped", "phi", "freeze_step", "survival", "target")
-
 
 @dataclass
 class SolverState:
@@ -170,32 +168,11 @@ class SolverState:
             else (0, w - 1)
         self._range = None
 
-    @classmethod
-    def stack(cls, states):
-        """One batch from one-instance states of equal window width at the
-        same step; the given states are left as they are."""
-        if not states or any(
-            s.rows is not None or s.live.shape != states[0].live.shape
-            or s.t != states[0].t for s in states
-        ):
-            raise PreconditionError(
-                "a batch stacks one or more one-instance states of equal "
-                "window width at the same step"
-            )
-        stacked = {name: np.stack([getattr(s, name) for s in states])
-                   for name in _ARRAYS}
-        return cls(
-            mesh_n=np.array([s.mesh_n for s in states]),
-            offset=np.array([s.offset for s in states]),
-            t=states[0].t,
-            rows=np.arange(len(states)),
-            **stacked,
-        )
-
     def _keep(self, keep):
         """Drop the rows of a batch where the mask `keep` is false."""
-        for name in _ARRAYS + ("absorbing", "mesh_n", "offset", "rows",
-                                "_last_stop"):
+        for name in ("live", "stopped", "phi", "freeze_step", "survival",
+                     "target", "absorbing", "mesh_n", "offset", "rows",
+                     "_last_stop"):
             setattr(self, name, getattr(self, name)[keep])
 
     def _name(self, i):
@@ -688,6 +665,9 @@ def _budgets(state, max_steps):
     builds; cells padded onto a row do not raise its budget."""
     meshes = np.reshape(state.mesh_n, -1)
     if max_steps is not None:
+        if max_steps < 0:
+            raise PreconditionError(
+                f"max_steps must be nonnegative, got {max_steps}")
         return [max_steps] * meshes.size
     w = state.live.shape[-1]
     held = ((state.live != 0.0) | (state.target != 0.0)).reshape(-1, w)
@@ -755,8 +735,8 @@ def solve(
 
 
 def solve_batch(state: SolverState, max_steps=None, observe=None) -> list:
-    """Solve a step-0 batch state, from `start_state` or
-    `SolverState.stack`, and return one solution per row, in row order.
+    """Solve a step-0 batch state from `start_state`, and return one
+    solution per row, in row order.
 
     Each solution is bit-identical to `solve` on its instance.  The run
     loop steps the state in place and drops its finished rows.

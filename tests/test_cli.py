@@ -208,6 +208,17 @@ def test_solve_infeasible_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_negative_max_steps_exits_2(tmp_path, capsys):
+    LatticeMeasure(1, 0, np.array([1.0])).to_csv(tmp_path / "mu0.csv")
+    LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5])).to_csv(
+        tmp_path / "mu1.csv")
+    code = main(["solve", f"mu0={tmp_path / 'mu0.csv'}",
+                 f"mu1={tmp_path / 'mu1.csv'}", "max_steps=-1",
+                 f"out_dir={tmp_path}"])
+    assert code == 2
+    assert "max_steps must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def _solve_with_mu0(tmp_path, mu0_text):
     mu1 = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
     mu1.to_csv(tmp_path / "mu1.csv")
@@ -285,6 +296,22 @@ def test_cantor_zero_samples_exits_2(tmp_path, capsys):
 def test_verify_zero_counts_exit_2(capsys, arg, message):
     assert main(["verify", arg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["verify", "convergence"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch,
+                                      command, seed):
+    # refused as the context is built, before any criterion runs
+    def never(*args):
+        raise AssertionError("ran with a seed outside [0, 2^64)")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (never,))
+    monkeypatch.setattr(acceptance, "mesh_convergence", never)
+    assert main([command, f"seed={seed}", "meshes=8"]
+                 + [f"out_dir={tmp_path}"] * (command == "convergence")) == 2
+    assert (f"seed must lie in [0, 2^64), got {seed}"
+            in capsys.readouterr().err)
 
 
 def test_verify_refuses_out_dir(tmp_path, capsys):

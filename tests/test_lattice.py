@@ -15,24 +15,30 @@ from brownian_transport.solver import start_state
 from conftest import primitive
 
 
-def test_uniform_n2_masses_symbolic():
-    L = discretize(bt.uniform(-1, 1), 2)
+def test_gaussian_n2_masses_symbolic():
+    # N(0, 1) conditioned on [-1, 1] at mesh 2: each hat in its two linear
+    # halves, so that sympy integrates in closed forms of erf and exp
+    L = discretize(bt.truncate_normalize(bt.gaussian(1.0), 1.0), 2)
     assert L.offset == -2 and L.masses.size == 5
     x = sympy.symbols("x")
+    density = sympy.exp(-x**2 / 2) / sympy.erf(1 / sympy.sqrt(2)) \
+        / sympy.sqrt(2 * sympy.pi)
     expected = []
     for k in range(-2, 3):
-        hat = sympy.Max(1 - 2 * sympy.Abs(x - sympy.Rational(k, 2)), 0)
-        expected.append(
-            float(sympy.integrate(hat * sympy.Rational(1, 2), (x, -1, 1)))
-        )
-    assert np.allclose(L.masses, expected, atol=1e-14)
-    assert np.allclose(L.masses, [1 / 8, 1 / 4, 1 / 4, 1 / 4, 1 / 8],
+        node = sympy.Rational(k, 2)
+        halves = ((node - sympy.Rational(1, 2), node, 1 + 2 * (x - node)),
+                  (node, node + sympy.Rational(1, 2), 1 - 2 * (x - node)))
+        expected.append(sum(
+            sympy.integrate(hat * density, (x, max(a, -1), min(b, 1)))
+            for a, b, hat in halves if max(a, -1) < min(b, 1)))
+    assert all(not m.has(sympy.Integral) for m in expected)
+    assert np.allclose(L.masses, [float(m) for m in expected], rtol=0,
                        atol=1e-14)
 
 
 def test_point_mass_lands_on_its_node():
-    L = discretize(bt.triangle(0.5, 1e-4), 2)
-    k = 1 - L.offset
+    L = discretize(bt.truncate_normalize(bt.gaussian(1.0), 1e-4), 2)
+    k = -L.offset
     assert L.masses[k] == pytest.approx(1.0, abs=1e-3)
     assert L.total_mass == pytest.approx(1.0, abs=1e-12)
 

@@ -15,30 +15,32 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def two_bumps(a, b, w):
-    """a * triangle(-1, w) + b * triangle(1, w), zero density between."""
-    h, s = 1.0 / w, 1.0 / (w * w)  # peak height and slope
+    """Mass a on [-1 - w, -1 + w] and b on [1 - w, 1 + w], each with the
+    shape of the N(0, 1) density there, and zero density between."""
+    side = gauss_cdf_series(1 + w) - gauss_cdf_series(1 - w)
     return bt.from_pieces([
-        (-1 - w, -1, (a * (h + s), a * s), []),
-        (-1, -1 + w, (a * (h - s), -a * s), []),
-        (-1 + w, 1 - w, (0.0, 0.0), []),
-        (1 - w, 1, (b * (h - s), b * s), []),
-        (1, 1 + w, (b * (h + s), -b * s), []),
+        (-1 - w, -1 + w, [(a / side, 1.0)]),
+        (-1 + w, 1 - w, []),
+        (1 - w, 1 + w, [(b / side, 1.0)]),
     ])
 
 
-GAUSS = (0.0, 0.0), [(1.0, 1.0)]  # affine and Gaussian terms of N(0, 1)
+def narrow(w):
+    """N(0, 1) conditioned on [-w, w]: nearly a unit point mass at 0."""
+    return bt.truncate_normalize(bt.gaussian(1.0), w)
+
+
+GAUSS = [(1.0, 1.0)]  # the one Gaussian term of N(0, 1)
 
 
 @pytest.mark.parametrize("pieces, message", [
     ([], "a measure needs at least one piece"),
-    ([(0.0, 0.0, (1.0, 0.0), [])], "empty piece"),
-    ([(1.0, 0.5, (1.0, 0.0), [])], "empty piece"),
-    ([(-math.inf, 0.0, *GAUSS), (0.5, math.inf, *GAUSS)],
+    ([(0.0, 0.0, GAUSS)], "empty piece"),
+    ([(1.0, 0.5, GAUSS)], "empty piece"),
+    ([(-math.inf, 0.0, GAUSS), (0.5, math.inf, GAUSS)],
      "pieces must be contiguous and sorted"),
-    ([(0.0, math.inf, *GAUSS), (-math.inf, 0.0, *GAUSS)],
+    ([(0.0, math.inf, GAUSS), (-math.inf, 0.0, GAUSS)],
      "pieces must be contiguous and sorted"),
-    ([(0.0, math.inf, (1.0, 0.0), [])],
-     "affine terms need finite piece bounds"),
 ])
 def test_malformed_pieces_are_refused_by_name(pieces, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -48,8 +50,8 @@ def test_malformed_pieces_are_refused_by_name(pieces, message):
 def test_batch_reads_an_infinite_left_end_in_its_own_piece():
     # the midpoint of (-inf, 0] is 0, the left edge of the next piece
     m = bt.from_pieces([
-        (-math.inf, 0.0, (0.0, 0.0), [(1.0, 1.0)]),
-        (0.0, math.inf, (0.0, 0.0), [(2.0, 1.0)]),
+        (-math.inf, 0.0, [(1.0, 1.0)]),
+        (0.0, math.inf, [(2.0, 1.0)]),
     ])
     m0, m1 = m.moments_batch([-math.inf], [0.0])
     assert (m0[0], m1[0]) == m.moments(-math.inf, 0.0)
@@ -57,34 +59,29 @@ def test_batch_reads_an_infinite_left_end_in_its_own_piece():
     assert m1[0] == pytest.approx(-1.0 / SQRT_2PI, abs=1e-15)
 
 
-# affine, Gaussian, mixed and empty pieces, with infinite ends
+# pieces of 0, 1 and 2 Gaussian terms, with infinite ends
 MIXED = bt.from_pieces([
-    (-math.inf, -2.0, (0.0, 0.0), [(0.3, 1.0)]),
-    (-2.0, -0.5, (0.05, 0.01), [(0.2, 0.5)]),
-    (-0.5, 0.0, (0.1, -0.02), []),
-    (0.0, 0.25, (0.0, 0.0), []),
-    (0.25, 1.5, (0.0, 0.0), [(0.4, 2.0), (-0.1, 1.0)]),
-    (1.5, 3.0, (0.02, 0.003), [(0.1, 0.7), (0.05, 3.0)]),
-    (3.0, math.inf, (0.0, 0.0), [(0.2, 1.5)]),
+    (-math.inf, -2.0, [(0.3, 1.0)]),
+    (-2.0, -0.5, [(0.2, 0.5), (0.05, 4.0)]),
+    (-0.5, 0.0, []),
+    (0.0, 0.25, [(0.1, 0.2)]),
+    (0.25, 1.5, [(0.4, 2.0), (-0.1, 1.0)]),
+    (1.5, 3.0, [(0.1, 0.7)]),
+    (3.0, math.inf, [(0.2, 1.5), (0.05, 3.0)]),
 ])
 
 
 def one_piece_read(piece, p, q):
     """(mass, first moment) of one piece over intervals inside it, term by
     term from zeros, as each piece was read before the pieces were
-    grouped by shape: the affine term if it is nonzero, then each
-    Gaussian term in order, with scalar coefficients."""
+    grouped by shape: each Gaussian term in order, with scalar
+    coefficients."""
     from scipy.special import ndtr
 
     def pdf(x, var):
         return np.exp(-0.5 * x * x / var) / (SQRT_2PI * math.sqrt(var))
 
     m0 = m1 = np.zeros(np.shape(p))
-    c0, c1 = piece.affine
-    if c0 != 0.0 or c1 != 0.0:
-        w, s1 = q - p, p + q
-        m0 = m0 + w * (c0 + 0.5 * c1 * s1)
-        m1 = m1 + w * (0.5 * c0 * s1 + c1 * (p * p + p * q + q * q) / 3.0)
     for coef, var in piece.gauss:
         s = math.sqrt(var)
         m0 = m0 + coef * (ndtr(q / s) - ndtr(p / s))
@@ -111,16 +108,13 @@ def test_moments_batch_reads_each_piece_bit_for_bit():
         r0, r1 = one_piece_read(pc, p[at], q[at])
         assert m0[at].tobytes() == r0.tobytes()
         assert m1[at].tobytes() == r1.tobytes()
-        shapes.add((pc.affine != (0.0, 0.0), len(pc.gauss)))
-    assert len(shapes) == 6
+        shapes.add(len(pc.gauss))
+    assert shapes == {0, 1, 2}
 
 
 class TestCdf:
     def test_gaussian_symmetry(self):
         assert cdf(bt.gaussian(1.0), 0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_uniform_linear(self):
-        assert cdf(bt.uniform(-1, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_gaussian_value_against_series_oracle(self):
         # frozen from the series oracle; quadrature agrees independently
@@ -152,28 +146,15 @@ class TestMeanVar:
     def test_gaussian_parameters(self):
         assert mean(bt.gaussian(0.25)) == pytest.approx(0.0, abs=1e-14)
 
-    def test_uniform_closed_form_and_quadrature(self):
-        assert mean(bt.uniform(-1, 1)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_point_like(self):
-        assert mean(bt.triangle(0.7, 1e-3)) == pytest.approx(0.7, abs=1e-9)
-
 
 class TestPhi:
     def test_point_mass_limits(self):
-        t = bt.triangle(0.0, 1e-3)
+        t = narrow(1e-3)
         assert primitive(t, 1.0) == pytest.approx(1.0, abs=1e-3)
         assert primitive(t, -1.0) == 0.0
 
-    def test_uniform_closed_form(self):
-        u = bt.uniform(-1, 1)
-        for x in (-0.75, -0.25, 0.0, 0.5, 1.0):
-            assert primitive(u, x) == pytest.approx((x + 1) ** 2 / 4,
-                                                    abs=1e-13)
-        assert primitive(u, 0.0) == pytest.approx(0.25, abs=1e-14)
-
     def test_vanishes_far_left(self):
-        assert primitive(bt.uniform(-1, 1), -5.0) == 0.0
+        assert primitive(narrow(1.0), -5.0) == 0.0
         assert primitive(bt.gaussian(1.0), -40.0) == pytest.approx(
             0.0, abs=1e-15)
 
@@ -181,8 +162,8 @@ class TestPhi:
         "measure",
         [
             bt.gaussian(1.0),
-            bt.uniform(-1, 1),
-            bt.triangle(0.3, 0.2),
+            two_bumps(0.25, 0.75, 0.2),
+            MIXED,
             bt.truncate_normalize(bt.gaussian(1.0), 2.0),
         ],
     )
@@ -226,7 +207,7 @@ class TestCost:
     def test_point_vs_half_masses(self):
         # unit mass at 0 against halves at -1 and 1: cost at 0 is 1/2
         w = 1e-3
-        mu0 = bt.triangle(0.0, w)
+        mu0 = narrow(w)
         mix = two_bumps(0.5, 0.5, w)
         assert cost(mu0, mix, 0.0) == pytest.approx(0.5, abs=5 * w)
 
@@ -244,12 +225,14 @@ class TestCost:
 
 class TestGammaCenter:
     def test_symmetric_fixed_point(self):
-        m, c, d = bt.gamma_center(bt.uniform(-1, 1))
+        base = narrow(1.0)
+        m, c, d = bt.gamma_center(base)
         assert c == pytest.approx(1.0, abs=1e-12)
         assert d == pytest.approx(1.0, abs=1e-12)
+        normalizer = gauss_cdf_series(1.0) - gauss_cdf_series(-1.0)
         for a, b in ((-0.75, -0.25), (0.0, 0.5)):
-            assert m.moments(a, b)[0] == pytest.approx(0.5 * (b - a),
-                                                       abs=1e-12)
+            expect = (gauss_cdf_series(b) - gauss_cdf_series(a)) / normalizer
+            assert m.moments(a, b)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_two_bump_weights(self):
         w = 1e-3
@@ -268,13 +251,14 @@ class TestGammaCenter:
 
     def test_one_sided_rejected(self):
         with pytest.raises(PreconditionError):
-            bt.gamma_center(bt.uniform(0.5, 2.0))
+            bt.gamma_center(bt.from_pieces([(0.5, 2.0, GAUSS)]))
 
     def test_weights_approach_one_with_window(self):
-        # centered but asymmetric: flat mass 0.6 on [-4,0], 0.4 on [0,6]
+        # centered but asymmetric: mass 2/3 with the N(0, 1) density on
+        # the negative half-line, 1/3 with the N(0, 4) density on the other
         m = bt.from_pieces([
-            (-4.0, 0.0, (0.15, 0.0), []),
-            (0.0, 6.0, (0.4 / 6.0, 0.0), []),
+            (-math.inf, 0.0, [(4.0 / 3.0, 1.0)]),
+            (0.0, math.inf, [(2.0 / 3.0, 4.0)]),
         ])
         gaps = []
         for R in (2.0, 3.0, 4.0, 5.0):
@@ -285,12 +269,6 @@ class TestGammaCenter:
 
 
 class TestTruncateNormalize:
-    def test_uniform_restriction(self):
-        t = bt.truncate_normalize(bt.uniform(-2, 2), 1.0)
-        assert t.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert t.moments(0.25, 0.75)[0] == pytest.approx(0.25, abs=1e-12)
-        assert t.moments(1.25, 1.75) == (0.0, 0.0)
-
     def test_gaussian_normalizer(self):
         t = bt.truncate_normalize(bt.gaussian(1.0), 1.0)
         normalizer = gauss_cdf_series(1.0) - gauss_cdf_series(-1.0)

@@ -531,3 +531,12 @@ def test_walk_streams_in_chunks(monkeypatch, mesh16_pipeline, cpus):
                                                 300_000, 4))
     held = r.positions.nbytes + r.times.nbytes + r.empirical.samples.nbytes
     assert peak <= held + cpus * CHUNK_TEMPS
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_path_config_refuses_a_seed_outside_64_bits(seed):
+    # a Philox key is one 64-bit word
+    with pytest.raises(PreconditionError,
+                       match=r"seed must lie in \[0, 2\^64\)"):
+        mc.PathSimConfig(seed=seed)
+    assert mc._rng(mc.PathSimConfig(seed=2**64 - 1).seed).random() < 1.0

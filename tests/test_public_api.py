@@ -13,9 +13,9 @@ def test_star_import_names_only_existing_objects():
     assert set(bt.__all__) <= set(namespace)
 
 
-def test_density_measure_is_pieces_and_mass():
+def test_density_measure_is_pieces():
     names = [f.name for f in dataclasses.fields(bt.DensityMeasure)]
-    assert names == ["pieces", "total_mass"]
+    assert names == ["pieces"]
 
 
 GAUSS_FREE_RUN = """

@@ -25,6 +25,7 @@ from brownian_transport.solver import (
     _coincidence_violation,
     extend_f,
     init_state,
+    joint_window,
     solve,
     solve_batch,
     start_state,
@@ -52,6 +53,15 @@ class Snapshots:
         self.states.append(SimpleNamespace(
             t=state.t, **{f: getattr(state, f).copy() for f in self.FIELDS}
         ))
+
+
+def batch_state(pairs):
+    """The step-0 batch of instances (mu0, mu1) whose joint windows are
+    equally wide, one row each, in order."""
+    meshes, offsets, lives, targets = zip(
+        *((m0.mesh_n, *joint_window(m0, m1)) for m0, m1 in pairs))
+    return start_state(np.array(meshes), np.array(offsets), np.stack(lives),
+                       np.stack(targets))
 
 
 def state_at(mu0, mu1, t):
@@ -221,13 +231,13 @@ class TestSolve:
         # once on a step that freezes nothing, once on a step at which
         # the cell next to it freezes
         for phi, frozen in (([0.0, 1.0, 1.0], -1), ([0.0, 0.25, 1.0], 0)):
-            state = SolverState(
-                mesh_n=1, offset=0, t=0, live=np.array([0.0, 1.0, 1.0]),
-                stopped=np.zeros(3), phi=np.array(phi),
-                freeze_step=np.full(3, -1), survival=np.full(3, np.nan),
-                target=np.array([0.5, 1.0, 0.5]),
+            batch = SolverState(
+                mesh_n=np.array([1]), offset=np.array([0]), t=0,
+                live=np.array([[0.0, 1.0, 1.0]]), stopped=np.zeros((1, 3)),
+                phi=np.array([phi]), freeze_step=np.full((1, 3), -1),
+                survival=np.full((1, 3), np.nan),
+                target=np.array([[0.5, 1.0, 0.5]]), rows=np.arange(1),
             )
-            batch = SolverState.stack([state])
             with pytest.raises(ConsistencyError, match=(
                     r"mass diffusing out of the window at step 0 "
                     r"\(instance 0 of the batch")):
@@ -299,16 +309,13 @@ class TestBatch:
         pairs = [(eighths(v0), eighths(v1))
                  for v0, v1 in enumerate_instances(4)]
         assert len(pairs) == 227
-        states = [init_state(m0, m1) for m0, m1 in pairs]
-        widths = sorted({st.live.size for st in states})
-        assert widths[0] == 1
-        for w in widths:
-            group = [k for k, st in enumerate(states) if st.live.size == w]
-            batch = solve_batch(SolverState.stack([states[k] for k in group]))
+        widths = [joint_window(*p)[1].size for p in pairs]
+        assert min(widths) == 1
+        for w in sorted(set(widths)):
+            group = [k for k, v in enumerate(widths) if v == w]
+            batch = solve_batch(batch_state([pairs[k] for k in group]))
             for k, sol in zip(group, batch):
                 assert_same_solution(sol, solve(*pairs[k]))
-        # the batch steps copies: the given states stay at step 0
-        assert all(st.t == 0 and np.all(st.stopped == 0.0) for st in states)
 
     def test_mixed_meshes_and_an_early_finisher(self):
         # equal window width 5 at meshes 1, 1, 3 and 2: the uniform
@@ -322,7 +329,7 @@ class TestBatch:
              LatticeMeasure(2, -2, np.array([0.5, 0.0, 0.0, 0.0, 0.5]))),
         ]
         seen = []
-        batch = solve_batch(SolverState.stack([init_state(*p) for p in pairs]),
+        batch = solve_batch(batch_state(pairs),
                             observe=lambda st: seen.append(st.rows.tolist()))
         singles = [solve(*p) for p in pairs]
         for a, b in zip(batch, singles):
@@ -336,7 +343,7 @@ class TestBatch:
 
     def test_far_apart_live_spans_match_solve(self):
         pairs = far_apart_pairs()
-        batch = solve_batch(SolverState.stack([init_state(*p) for p in pairs]))
+        batch = solve_batch(batch_state(pairs))
         singles = [solve(*p) for p in pairs]
         for a, b in zip(batch, singles):
             assert_same_solution(a, b)
@@ -351,23 +358,18 @@ class TestBatch:
         runs = []
         for few in (0, 10**9):
             monkeypatch.setattr(solver_module, "FEW_LANDING", few)
-            runs.append([solve(*p) for p in pairs] + solve_batch(
-                SolverState.stack([init_state(*p) for p in pairs])))
+            runs.append([solve(*p) for p in pairs]
+                        + solve_batch(batch_state(pairs)))
         for a, b in zip(*runs):
             assert_same_solution(a, b)
 
     def test_exhausted_budget_names_the_instance(self):
         slow = LatticeMeasure(1, -1, np.array([0.25, 0.5, 0.25]))
-        states = [init_state(POSITIVE, POSITIVE), init_state(DELTA0, slow)]
         assert solve(DELTA0, slow).steps == 2
         with pytest.raises(NonTerminationError,
                            match="in 1 steps.*instance 1 of the batch"):
-            solve_batch(SolverState.stack(states), max_steps=1)
-
-    def test_unequal_widths_rejected(self):
-        with pytest.raises(PreconditionError, match="equal window width"):
-            SolverState.stack([init_state(DELTA0, HALVES),
-                               init_state(DELTA0, QUARTERS)])
+            solve_batch(batch_state([(POSITIVE, POSITIVE), (DELTA0, slow)]),
+                        max_steps=1)
 
 
 class TestStartState:
@@ -445,8 +447,7 @@ def planted_error(batch, name, value):
 
     with pytest.raises(ConsistencyError) as err:
         if batch:
-            solve_batch(SolverState.stack([init_state(DELTA0, QUARTERS)] * 3),
-                        observe=plant)
+            solve_batch(batch_state([(DELTA0, QUARTERS)] * 3), observe=plant)
         else:
             solve(DELTA0, QUARTERS, observe=plant)
     return str(err.value)
@@ -490,15 +491,21 @@ def test_criterion_1_batch_costs_stay_nonnegative_at_every_step():
     assert solved == len(pairs) == 2902
 
 
+def unfrozen_state(live, stopped, phi, target):
+    """A state at step 0, of one instance or of a batch of rows at mesh 1,
+    that holds the given arrays and no frozen cell."""
+    return SolverState(
+        mesh_n=1, offset=0, t=0, live=live, stopped=stopped, phi=phi,
+        freeze_step=np.full(live.shape, -1),
+        survival=np.full(live.shape, np.nan), target=target,
+    )
+
+
 def violating_state():
     """Zero-cost cells 0 and 2 whose target interval holds less mass than
     the occupation: the outer interval order fails."""
-    live = np.array([0.0, 1.0, 0.0])
-    return SolverState(
-        mesh_n=1, offset=-1, t=0, live=live, stopped=np.zeros(3),
-        phi=np.array([0.0, 0.5, 0.0]), freeze_step=np.full(3, -1),
-        survival=np.full(3, np.nan), target=np.full(3, 0.25),
-    )
+    return unfrozen_state(np.array([0.0, 1.0, 0.0]), np.zeros(3),
+                          np.array([0.0, 0.5, 0.0]), np.full(3, 0.25))
 
 
 class TestInvariantCheckRows:
@@ -507,16 +514,20 @@ class TestInvariantCheckRows:
             InvariantCheck()(violating_state())
 
     def test_flags_the_violating_row_of_a_batch(self):
-        good = init_state(DELTA0, HALVES)
-        batch = SolverState.stack([good, violating_state(), good])
+        # row 1 of three transports of a point mass to halves, on the
+        # same window, replaced by the violating state
+        batch = batch_state([(DELTA0, HALVES)] * 3)
+        bad = violating_state()
+        for name in ("live", "stopped", "phi", "target"):
+            getattr(batch, name)[1] = getattr(bad, name)
         with pytest.raises(ConsistencyError,
                            match="outer interval.*instance 1 of the batch"):
             InvariantCheck()(batch)
-        InvariantCheck()(SolverState.stack([good, good]))
+        InvariantCheck()(batch_state([(DELTA0, HALVES)] * 2))
 
     def test_cost_increase_in_a_compacted_batch(self):
         check = InvariantCheck()
-        batch = SolverState.stack([init_state(DELTA0, HALVES)] * 3)
+        batch = batch_state([(DELTA0, HALVES)] * 3)
         check(batch)
         batch._keep(np.array([True, False, True]))
         batch.phi[1, 1] += 0.25  # the row of instance 2
@@ -529,22 +540,20 @@ class TestInvariantCheckRows:
         rng = np.random.default_rng(3)
         for _ in range(100):
             w, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-            states = []
+            rows = []
             for _ in range(n):
                 live, stopped = rng.random(w), rng.random(w)
                 target = (live + stopped if rng.random() < 0.3
                           else rng.random(w) * 2.0)
                 phi = np.where(rng.random(w) < 0.6, 0.0, rng.random(w))
-                states.append(SolverState(
-                    mesh_n=1, offset=0, t=0, live=live, stopped=stopped,
-                    phi=phi, freeze_step=np.full(w, -1),
-                    survival=np.full(w, np.nan), target=target,
-                ))
+                rows.append((live, stopped, phi, target))
+            states = [unfrozen_state(*row) for row in rows]
             verdicts = [coincidence_reference(st) for st in states]
             for st, verdict in zip(states, verdicts):
                 got = _coincidence_violation(st)
                 assert (got and got[1].split()[0]) == verdict
-            batch = _coincidence_violation(SolverState.stack(states))
+            batch = _coincidence_violation(
+                unfrozen_state(*map(np.stack, zip(*rows))))
             for kind in ("outer", "inner"):
                 if kind in verdicts:
                     assert batch[0] == verdicts.index(kind)
