@@ -9,14 +9,14 @@ at step t every mass is an integer numerator over 2**(e + t): doubling
 the scale each step keeps the halves integer.  The cost profile is formed
 from its definition at every step,
 
-  phi(x) = sum over z < x of (x - z) (target - occupation)(z)
-         = x A(x) - B(x),
+  phi(x) = sum over z < x of (x - z) (target - occupation)(z),
 
-with A and B the running sums of the difference and of z times it, in
-O(width).  Every decision compares integers: the cost against half the
-live mass, and the walking mass against the engine's LIVE_TOL.  Only the
-survival 2 phi / nu is a ratio; it is rounded once to a float and never
-fed back.  No float arithmetic touches the state: the floats returned
+by the recurrence phi(0) = 0, phi(x) = phi(x - 1) + D(x), with D(x) the
+running sum of the difference over the cells below x, in O(width).
+Every decision compares integers: the cost against half the live mass,
+and the walking mass against the engine's LIVE_TOL.  Only the survival
+2 phi / nu is a ratio; it is rounded once to a float and never fed
+back.  No float arithmetic touches the state: the floats returned
 beside the exact values are each rounded once from them.
 """
 
@@ -67,13 +67,11 @@ def exhaustive_transport(mu0, mu1, max_steps=4096):
         # twice the scale, so a half of what leaves x is its numerator
         nxt = [0] * w
         stays = [0] * w
-        below = moment = 0  # A(x) and B(x)
+        below = phi = 0  # D(x) and phi(x)
         for x in range(w):
             nu = walking[x]
-            phi = x * below - moment
-            diff = target[x] - nu - parked[x]
-            below += diff
-            moment += x * diff
+            phi += below
+            below += target[x] - nu - parked[x]
             if phi <= 0:
                 # absorbing cell: everything sitting here stops
                 if g[x] is None and nu:

@@ -70,15 +70,6 @@ class LatticeMeasure:
         i, j = lo - self.offset, hi - self.offset
         return LatticeMeasure(self.mesh_n, lo, self.masses[i : j + 1].copy())
 
-    def with_window(self, lo_cell, hi_cell):
-        """Re-window onto [lo_cell, hi_cell], padding with zeros."""
-        if lo_cell > self.offset or hi_cell < self.offset + self.masses.size - 1:
-            raise PreconditionError("window does not cover the support")
-        out = np.zeros(hi_cell - lo_cell + 1)
-        i = self.offset - lo_cell
-        out[i : i + self.masses.size] = self.masses
-        return LatticeMeasure(self.mesh_n, lo_cell, out)
-
     def to_csv(self, path):
         write_csv(path, ("cell_index", "position", "mass"),
                   zip(self.cells, self.positions, self.masses))

@@ -116,51 +116,31 @@ def build_problem(cfg: CantelliConfig, cantor: CantorSet | None = None):
 
 
 @dataclass(frozen=True)
-class StoppingFunction:
-    """The glued stopping function: t0 on the Cantor set, t0 + f1 off it."""
-
-    t0: float
-    f1: PiecewiseLinear
-    set_edges: np.ndarray  # flattened interval endpoints
-
-    def on_set(self, x):
-        idx = np.searchsorted(self.set_edges, np.asarray(x, dtype=float),
-                              side="right")
-        out = idx % 2 == 1
-        return bool(out) if np.ndim(x) == 0 else out
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.where(self.on_set(xs), self.t0, self.t0 + self.f1(xs))
-        return float(out) if np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True)
-class SquareRootGap:
-    """phi(x) = sqrt(C - f(x)); positive when C dominates f."""
-
-    C: float
-    f: StoppingFunction
-
-    def __call__(self, x):
-        gap = self.C - np.asarray(self.f(x), dtype=float)
-        out = np.sqrt(np.maximum(gap, 0.0))
-        return float(out) if np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True)
 class CantelliResult:
     cantor: CantorSet
     c: float
     f1: PiecewiseLinear
-    f: StoppingFunction
+    set_edges: np.ndarray  # the Cantor set's flattened interval endpoints
     C: float
-    phi: SquareRootGap
     config: CantelliConfig
     solution: TransportSolution
     mu0n: LatticeMeasure
     mu1n: LatticeMeasure
     diagnostics: dict
+
+    def f(self, x):
+        """The glued stopping function: t0 on the Cantor set, t0 + f1 off
+        it."""
+        xs = np.asarray(x, dtype=float)
+        on_set = np.searchsorted(self.set_edges, xs, side="right") % 2 == 1
+        t0 = self.config.t0
+        out = np.where(on_set, t0, t0 + self.f1(xs))
+        return float(out) if np.ndim(x) == 0 else out
+
+    def phi(self, x):
+        """phi(x) = sqrt(C - f(x)); positive when C dominates f."""
+        out = np.sqrt(np.maximum(self.C - self.f(x), 0.0))
+        return float(out) if np.ndim(x) == 0 else out
 
     def phi_range(self):
         """(inf, sup) of phi over set and node values."""
@@ -170,7 +150,7 @@ class CantelliResult:
 
     def breakpoints(self):
         """Discontinuity and kink locations of f (set edges and nodes)."""
-        return np.unique(np.concatenate([self.f.set_edges, self.f1.xs]))
+        return np.unique(np.concatenate([self.set_edges, self.f1.xs]))
 
 
 def run_pipeline(cfg: CantelliConfig | None = None) -> CantelliResult:
@@ -225,13 +205,6 @@ def run_pipeline(cfg: CantelliConfig | None = None) -> CantelliResult:
     level = 1.0 - cfg.t0
     f1 = extend_f(sol, left=level, right=level)
     C = cfg.t0 + float(f1.ys.max()) + cfg.horizon_margin
-    f = StoppingFunction(
-        t0=cfg.t0,
-        f1=f1,
-        set_edges=cantor.float_intervals().reshape(-1),
-    )
-    phi = SquareRootGap(C=C, f=f)
-
     node_gap = float(np.abs(np.diff(f1.ys)).max())
     marks.append(time.perf_counter())
     phase_s = dict(zip(("build", "centre", "discretize", "solve", "assemble"),
@@ -253,9 +226,8 @@ def run_pipeline(cfg: CantelliConfig | None = None) -> CantelliResult:
         cantor=cantor,
         c=c,
         f1=f1,
-        f=f,
+        set_edges=cantor.float_intervals().reshape(-1),
         C=C,
-        phi=phi,
         config=cfg,
         solution=sol,
         mu0n=mu0n,

@@ -219,11 +219,12 @@ def start_state(mesh_n, offset, live, target) -> SolverState:
     and one offset per row (a scalar applies to every row).  The state
     takes the two arrays as its own; the run loop steps a copy of
     ``live``, so the given array keeps the start masses.  Checked per
-    row, in this order: both measures carry mass, equal means and total
-    masses (within 1e-9), a start support inside the target's support
-    hull, a target positive strictly inside the start support, a cost
-    that vanishes at both window edges within the mean tolerance (and is
-    then set to 0 there) and is nowhere below PHI_CLAMP.  In a batch the
+    row, in this order: a mesh of at least 1, both measures carry mass,
+    equal means and total masses (within 1e-9), a start support inside
+    the target's support hull, a target positive strictly inside the
+    start support, a cost that vanishes at the last window cell within
+    the mean tolerance (and is then set to 0 there; it is 0 at the first
+    by construction) and is nowhere below PHI_CLAMP.  In a batch the
     error names the failing row's instance.
     """
     live = np.asarray(live, dtype=float)
@@ -262,6 +263,7 @@ def start_state(mesh_n, offset, live, target) -> SolverState:
     # one row per instance from here on: views of the state's arrays
     m0, m1, phi = (a.reshape(rows, w) for a in (live, target, state.phi))
     n = np.reshape(state.mesh_n, (rows, 1))
+    check(n < 1, lambda i: f"mesh must be at least 1, got {n[i, 0]}")
     first = np.reshape(state.offset, (rows, 1))
     cells = first + np.arange(w)  # absolute cell indices
     check(~((m0 > 0.0).any(-1) & (m1 > 0.0).any(-1)),
@@ -284,28 +286,22 @@ def start_state(mesh_n, offset, live, target) -> SolverState:
         f"target mass vanishes at cell {cells[i, np.argmax(vanish[i])]} "
         "strictly inside the start support"))
 
-    # the cost profile n (Phi1 - Phi0) in integer lattice units, where
-    # n Phi(k) = k (mass below k) - (first moment below k, in cells): two
-    # exclusive prefix sums along the cell axis
-    def primitive(m):
-        acc = np.zeros((2, rows, w + 1))
-        np.cumsum(m, axis=-1, out=acc[0, :, 1:])
-        np.cumsum(cells * m, axis=-1, out=acc[1, :, 1:])
-        return (cells * acc[0, :, :w] - acc[1, :, :w]) / n
-
-    phi[...] = n * (primitive(m1) - primitive(m0))
-    # both window edges carry cost n * (mean gap), zero for exactly matched
-    # inputs; values inside the mean tolerance are forced to zero so the
-    # edges absorb, larger residues mean the window cannot hold the transport
-    edge_tol = 1.01e-9 * n + 1e-12
-    edges = phi[:, ::max(w - 1, 1)]  # cells 0 and w - 1 (one cell if w = 1)
-    off = np.abs(edges) > edge_tol
-    check(off.any(-1), lambda i: (
-        f"cost at window edge cell "
-        f"{cells[i, 0] + (w - 1) * int(np.argmax(off[i]))} is "
-        f"{edges[i, np.argmax(off[i])]:.3e}; center the measures more "
-        "precisely"))
-    edges[...] = 0.0
+    # the cost profile in integer lattice units, phi(x) = sum over z < x of
+    # (x - z) (target - start)(z), as a recurrence that needs no mesh and
+    # no offset: phi(0) = 0 and phi(x) = phi(x - 1) + D(x), with D(x) the
+    # target less the start mass below x; two running sums along the cells
+    below = np.zeros((rows, w))
+    np.cumsum(m1[:, :-1] - m0[:, :-1], axis=-1, out=below[:, 1:])
+    np.cumsum(below, axis=-1, out=phi)
+    # the first cell carries no cost, the last n * (mean gap) for equal
+    # masses, zero for exactly matched inputs; values inside the mean
+    # tolerance are forced to zero so the edge absorbs, larger residues mean
+    # the window cannot hold the transport
+    edge = phi[:, -1:]
+    check(np.abs(edge) > 1.01e-9 * n + 1e-12, lambda i: (
+        f"cost at window edge cell {cells[i, -1]} is {edge[i, 0]:.3e}; "
+        "center the measures more precisely"))
+    edge[...] = 0.0
     neg = phi < PHI_CLAMP
     check(neg.any(-1), lambda i: (
         f"cost profile is negative at cell {cells[i, np.argmax(neg[i])]}: "

@@ -228,12 +228,13 @@ class TestRunPipeline:
         assert d["steps_per_s"] == d["steps"] / d["phase_s"]["solve"]
 
     # sha256 of freeze_step (<i8), survival and stopped masses (<f8), cut
-    # to 16 hex digits, with the step count and E T as recorded before the
-    # solver kernel was rewritten in place: a kernel change must keep them
+    # to 16 hex digits, with the step count and E T, as recorded when the
+    # step-0 cost became the two running sums of target - start: a kernel
+    # change must keep them
     @pytest.mark.parametrize("n, digest, steps, expected_time", [
-        (16, "a0e52c4c498a15e3", 208, "0x1.5db1283c46ee1p-1"),
-        (100, "0d2ad55eb8baad7e", 8142, "0x1.5db12a133d583p-1"),
-        (200, "b46e246a06d36b8c", 32570, "0x1.5db12a1c87a48p-1"),
+        (16, "c7c3c1ae10c44ae8", 208, "0x1.5db1283c46f14p-1"),
+        (100, "60f589f44926ffac", 8142, "0x1.5db12a133d505p-1"),
+        (200, "e36fd8ce118785ef", 32570, "0x1.5db12a1c879edp-1"),
     ])
     def test_solve_bit_identical(self, n, digest, steps, expected_time):
         res = run_pipeline(CantelliConfig(mesh_n=n))

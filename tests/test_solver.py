@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,9 +161,8 @@ class TestSolve:
         snaps = Snapshots()
         sol = solve(DELTA0, QUARTERS, observe=snaps)
         assert sol.expected_time == pytest.approx(2.5, abs=1e-12)
-        hi = sol.offset + sol.freeze_step.size - 1
-        w0 = DELTA0.trimmed().with_window(sol.offset, hi).masses
-        w1 = QUARTERS.trimmed().with_window(sol.offset, hi).masses
+        offset, w0, w1 = joint_window(DELTA0, QUARTERS)
+        assert offset == sol.offset
         ref = exhaustive_transport(w0, w1)
         assert ref["g"] == sol.freeze_step.tolist()
         # the exact oracle's values, each rounded once to a float
@@ -334,10 +334,10 @@ class TestBatch:
         singles = [solve(*p) for p in pairs]
         for a, b in zip(batch, singles):
             assert_same_solution(a, b)
-        assert [s.steps for s in singles] == [3, 1, 4, 80]
+        assert [s.steps for s in singles] == [3, 1, 3, 80]
         assert [s.mesh_n for s in batch] == [1, 1, 3, 2]
         assert seen[:6] == [
-            [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 2, 3], [2, 3], [3],
+            [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 2, 3], [3], [3],
         ]
         assert len(seen) == 81
 
@@ -418,6 +418,18 @@ class TestStartState:
         assert str(err.value).endswith(
             "(instance 1 of the batch: mesh 2, window from cell -3)")
 
+    @pytest.mark.parametrize("mesh", [0, -2])
+    def test_mesh_below_1_names_the_row(self, mesh):
+        with pytest.raises(PreconditionError,
+                           match=f"^mesh must be at least 1, got {mesh}$"):
+            start_state(mesh, 0, np.ones(1), np.ones(1))
+        masses = [np.array([g] * 3, dtype=float) for g in self.GOOD]
+        with pytest.raises(PreconditionError) as err:
+            start_state(np.array([1, mesh, 1]), np.array([0, -3, 0]), *masses)
+        assert str(err.value) == (
+            f"mesh must be at least 1, got {mesh} (instance 1 of the batch: "
+            f"mesh {mesh}, window from cell -3)")
+
     def test_width_1_batch_solves(self):
         state = start_state(1, 0, np.ones((2, 1)), np.ones((2, 1)))
         sols = solve_batch(state)
@@ -434,6 +446,33 @@ class TestStartState:
     def test_solve_batch_refuses_one_instance(self):
         with pytest.raises(PreconditionError, match="batch state"):
             solve_batch(init_state(DELTA0, HALVES))
+
+
+@pytest.mark.parametrize("mesh", range(1, 11))
+def test_one_cell_unit_instance_solves_alike_at_every_mesh(mesh):
+    # the point mass to four quarters in cell units: the step-0 cost is
+    # formed in cells, so every mesh gives the exact oracle's record
+    ref = exhaustive_transport(*joint_window(DELTA0, QUARTERS)[1:])
+    sol = solve(LatticeMeasure(mesh, 0, DELTA0.masses),
+                LatticeMeasure(mesh, -2, QUARTERS.masses))
+    assert sol.freeze_step.tolist() == ref["g"] == [2, 1, 2, 1, 2]
+    assert sol.survival.tolist() == ref["q"]
+    assert sol.steps == len(ref["walking_history"]) - 1 == 3
+
+
+def test_pipeline_step_0_cost_is_near_the_exact_cost():
+    # the same recurrence in exact rationals; the last cell is the window
+    # edge, whose cost, the centring residue, the set-up forces to zero
+    res = run_pipeline(CantelliConfig(mesh_n=100))
+    _, live, target = joint_window(res.mu0n, res.mu1n)
+    phi = init_state(res.mu0n, res.mu1n).phi
+    below = exact = Fraction(0)
+    worst = 0.0
+    for x in range(live.size - 1):
+        exact += below
+        worst = max(worst, abs(float(exact) - phi[x]))
+        below += Fraction(target[x]) - Fraction(live[x])
+    assert worst < 1e-13
 
 
 def planted_error(batch, name, value):
