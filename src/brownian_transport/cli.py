@@ -3,7 +3,8 @@
 Plain ``command key=value ...`` arguments, an optional ``config=FILE`` of
 key=value lines (explicit arguments win), and CSV and key=value outputs
 with full-precision floats (``lattice.write_csv``, ``_write_keys``).  A
-key left out keeps the default of the function it feeds.  Exit codes:
+key left out keeps the default of the function it feeds; every value is
+parsed before any work, and a bad one is refused by its key.  Exit codes:
 0 all checks pass, 1 a check failed, 2 configuration or precondition
 error.
 """
@@ -30,42 +31,41 @@ from .solver import LIVE_TOL, solve
 
 ENV_OUT_DIR = "BROWNIAN_TRANSPORT_OUT_DIR"
 
-_COMMANDS = ("solve", "pipeline", "verify", "cantor", "convergence")
 
-_PIPELINE_FIELDS = {
-    "t0": ("t0", float),
-    "r": ("cantor_radius", float),
-    "depth": ("cantor_depth", int),
-    "R": ("truncation_R", float),
-    "n": ("mesh_n", int),
-    "margin": ("horizon_margin", float),
-}
+def _meshes(value):
+    return tuple(int(m) for m in value.split(",") if m)
 
-_VERIFY_FIELDS = {
-    "seed": ("seed", int),
-    "paths": ("paths", int),
-    "meshes": ("meshes",
-               lambda v: tuple(int(m) for m in v.split(",") if m)),
-    "instances": ("random_instances", int),
-    "gap_samples": ("gap_samples", int),
-    "sim_mesh": ("sim_mesh", int),
-    "cells": ("enumeration_cells", int),
-}
 
-_VALID_KEYS = {
-    "solve": {"mu0", "mu1", "out_dir", "verbose", "max_steps"},
-    "pipeline": set(_PIPELINE_FIELDS) | {"out_dir", "svg"},
+# per command, each key and the parser of its value: every value is parsed
+# before the command does any work or writes any file
+_KEYS = {
+    "solve": {"mu0": str, "mu1": str, "out_dir": str, "verbose": int,
+              "max_steps": int},
+    "pipeline": {"t0": float, "r": float, "depth": int, "R": float,
+                 "n": int, "margin": float, "out_dir": str, "svg": int},
     # verify writes no file, so it takes no out_dir
-    "verify": set(_VERIFY_FIELDS),
-    "cantor": {"r", "lo", "hi", "depth", "samples", "seed", "out_dir"},
-    "convergence": {"meshes", "paths", "seed", "out_dir"},
+    "verify": {"seed": mc.check_seed, "paths": int, "meshes": _meshes,
+               "instances": int, "gap_samples": int, "sim_mesh": int,
+               "cells": int},
+    "cantor": {"r": float, "lo": float, "hi": float, "depth": int,
+               "samples": int, "seed": mc.check_seed, "out_dir": str},
+    "convergence": {"meshes": _meshes, "out_dir": str},
 }
+
+# the keys that name a keyword argument of a callee, and its name
+_PIPELINE_ARGS = {"t0": "t0", "r": "cantor_radius", "depth": "cantor_depth",
+                  "R": "truncation_R", "n": "mesh_n",
+                  "margin": "horizon_margin"}
+_CONTEXT_ARGS = {"seed": "seed", "paths": "paths", "meshes": "meshes",
+                 "instances": "random_instances",
+                 "gap_samples": "gap_samples", "sim_mesh": "sim_mesh",
+                 "cells": "enumeration_cells"}
 
 
 def _parse_args(tokens):
-    if not tokens or tokens[0] not in _COMMANDS:
+    if not tokens or tokens[0] not in _KEYS:
         raise PreconditionError(
-            f"usage: brownian-transport {{{'|'.join(_COMMANDS)}}} key=value ..."
+            f"usage: brownian-transport {{{'|'.join(_KEYS)}}} key=value ..."
         )
     command = tokens[0]
     params = {}
@@ -91,12 +91,18 @@ def _parse_args(tokens):
                     params.setdefault(key.strip(), value.strip())
         except OSError as exc:
             raise PreconditionError(f"cannot read config file: {exc}") from exc
-    unknown = set(params) - _VALID_KEYS[command]
+    parsers = _KEYS[command]
+    unknown = set(params) - set(parsers)
     if unknown:
         raise PreconditionError(
             f"unknown keys for {command}: {sorted(unknown)}; valid: "
-            f"{sorted(_VALID_KEYS[command])}"
+            f"{sorted(parsers)}"
         )
+    for key, value in params.items():
+        try:
+            params[key] = parsers[key](value)
+        except (PreconditionError, ValueError) as exc:
+            raise PreconditionError(f"{key}={value}: {exc}") from exc
     return command, params
 
 
@@ -140,15 +146,14 @@ def write_svg_lineplot(path, xs, ys, title=""):
         )
 
 
-def _given(params, fields):
+def _given(params, args):
     """Keyword arguments for the keys the user gave; the others keep the
-    defaults of the callee.  ``fields`` maps key -> (argument, parser)."""
-    return {arg: parse(params[key]) for key, (arg, parse) in fields.items()
-            if key in params}
+    defaults of the callee.  ``args`` maps key -> argument name."""
+    return {arg: params[key] for key, arg in args.items() if key in params}
 
 
 def _cmd_pipeline(params):
-    cfg = CantelliConfig(**_given(params, _PIPELINE_FIELDS))
+    cfg = CantelliConfig(**_given(params, _PIPELINE_ARGS))
     res = run_pipeline(cfg)
     out = _out_dir(params)
     xs = res.f1.xs
@@ -161,7 +166,7 @@ def _cmd_pipeline(params):
     _write_keys(os.path.join(out, "meta"), t0=cfg.t0, c=res.c, C=res.C,
                 E_T=res.solution.expected_time, n=cfg.mesh_n,
                 R=cfg.truncation_R)
-    if int(params.get("svg", 0)):
+    if params.get("svg", 0):
         write_svg_lineplot(os.path.join(out, "f1.svg"), xs, res.f1.ys,
                            "transport stopping function")
         write_svg_lineplot(os.path.join(out, "phi.svg"), xs,
@@ -185,8 +190,8 @@ def _cmd_solve(params):
     elif not mu1.positions.any():
         mu1 = LatticeMeasure(mu0.mesh_n, mu1.offset, mu1.masses)
     out = _out_dir(params)
-    verbose = int(params.get("verbose", 0))
-    max_steps = int(params["max_steps"]) if "max_steps" in params else None
+    verbose = params.get("verbose", 0)
+    max_steps = params.get("max_steps")
     start = time.perf_counter()
     if verbose >= 2:
         with open(os.path.join(out, "steplog.csv"), "w") as log:
@@ -235,7 +240,7 @@ def _print_criterion(result):
 
 
 def _cmd_verify(params):
-    kwargs = _given(params, _VERIFY_FIELDS)
+    kwargs = _given(params, _CONTEXT_ARGS)
     results = acceptance.run_all(report=_print_criterion, **kwargs)
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
@@ -243,23 +248,22 @@ def _cmd_verify(params):
 
 
 def _cmd_cantor(params):
-    depth = int(params.get("depth", 8))
     if "lo" in params or "hi" in params:
         missing = [key for key in ("lo", "hi") if key not in params]
         if missing:
             raise PreconditionError(
                 f"cantor needs both lo= and hi=; {missing[0]}= is missing"
             )
-        lo, hi = float(params["lo"]), float(params["hi"])
+        lo, hi = params["lo"], params["hi"]
     else:
-        r = float(params.get("r", 0.5))
+        r = params.get("r", 0.5)
         lo, hi = -r, r
-    K = build_cantor((lo, hi), depth)
+    K = build_cantor((lo, hi), params.get("depth", 8))
+    gaps = cantor_gap_constants(K, params.get("samples", 10_000),
+                                seed=params.get("seed", 0))
     out = _out_dir(params)
     write_csv(os.path.join(out, "cantor.csv"), ["a", "b"],
               K.float_intervals())
-    gaps = cantor_gap_constants(K, int(params.get("samples", 10_000)),
-                                seed=int(params.get("seed", 0)))
     _write_keys(os.path.join(out, "gap_constants"),
                 alpha_quadratic=gaps.alpha_quadratic,
                 alpha_exp=gaps.alpha_exp, n_samples=gaps.n_samples,
@@ -273,13 +277,12 @@ def _cmd_cantor(params):
 
 
 def _cmd_convergence(params):
-    # the keys it accepts, meshes=, paths= and seed=, parse as in verify
-    ctx = acceptance.AcceptanceContext(**_given(params, _VERIFY_FIELDS))
+    ctx = acceptance.AcceptanceContext(**_given(params, _CONTEXT_ARGS))
     out = _out_dir(params)
     rows, gaps = acceptance.mesh_convergence(ctx)
     for r in rows:
-        print(f"n={r.n}: sampled KS={r.ks_sampled:.6f} exact KS="
-              f"{r.ks_exact:.2e} C={r.C:.6f} E_T={r.E_T:.6f}")
+        print(f"n={r.n}: exact KS={r.ks_exact:.2e} C={r.C:.6f} "
+              f"E_T={r.E_T:.6f}")
     write_csv(os.path.join(out, "convergence.csv"), acceptance.MeshRow._fields,
               rows)
     for r_c, r_f, (gap, _) in zip(rows, rows[1:], gaps):

@@ -323,19 +323,6 @@ def ks_distance(e: EmpiricalMeasure, cdf):
     return float(d)
 
 
-DKW_ALPHA = 0.05
-
-
-def dkw_epsilon(count):
-    """Sampling error of a KS statistic from ``count`` draws.
-
-    By the Dvoretzky-Kiefer-Wolfowitz inequality the empirical CDF stays
-    within sqrt(ln(2 / alpha) / (2 count)) of the true CDF with
-    probability at least 1 - alpha, here alpha = DKW_ALPHA.
-    """
-    return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * count))
-
-
 def ks_distance_lattice(e: EmpiricalMeasure, m: LatticeMeasure):
     """KS statistic against an atomic lattice law, exact at the jumps.
 

@@ -63,7 +63,8 @@ class CantelliConfig:
                 "crossing radius"
             )
         if self.mesh_n < 16:
-            raise PreconditionError("mesh_n must be at least 16")
+            raise PreconditionError(
+                f"mesh_n must be at least 16, got {self.mesh_n}")
         if self.cantor_depth is None:
             # every depth-d interval has length r (d+2) / ((d+1) 2^d); take
             # the first depth from 8 whose intervals are below the hat width

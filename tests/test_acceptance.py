@@ -2,9 +2,9 @@
 
 The shared fixture runs all ten criteria once and prints one pass/fail
 line per criterion; the tests then assert the individual clauses.  The
-sampled-KS mesh trend is asserted within the statistic's own sampling
-error, since the bias it ranks is far below that error; the exact
-distributional KS, asserted alongside, carries the strict trend.  One
+law of the counter-example is asserted through its exact distributional
+KS, the context's cached `exact_ks`, whose mesh trend is strict; the
+one sample of it is drawn by criterion 6 at the headline mesh.  One
 clause fails for a measured reason and is asserted as stated anyway: the
 Hermite identity residual of phi^2 at R = 4 rises toward a floor of
 about 9e-4 that the window sets, while its mesh part halves per mesh
@@ -82,29 +82,10 @@ def test_criterion_6_headline_counterexample(suite):
     _assert_criterion(suite[1], 6)
 
 
-def test_criterion_7_sampled_ks_nonincreasing(suite):
-    ctx, _ = suite
-    ks = []
-    for n in ctx.meshes:
-        z = mc.simulate_counterexample(
-            ctx.pipeline(n), mc.PathSimConfig(num_paths=ctx.paths,
-                                              seed=ctx.seed)
-        )
-        ks.append(mc.ks_distance(z.empirical, z.target_cdf))
-    # the bias being ranked (about 2e-4 and below) is under the sampling
-    # error, so a rise within that error is no evidence against the trend
-    eps = mc.dkw_epsilon(ctx.paths)
-    assert all(b <= a + eps for a, b in zip(ks, ks[1:])), (
-        f"sampled KS over meshes {ctx.meshes}: {ks} rises by more than the "
-        f"sampling error {eps:.2e} at {ctx.paths} samples"
-    )
-
-
 def test_criterion_7_distributional_ks_decreases(suite):
-    # deterministic companion: the exact law of Z approaches N(0, C)
+    # the exact law of Z approaches N(0, C), strictly per mesh doubling
     ctx, _ = suite
-    exact = [acceptance.counterexample_exact_ks(ctx.pipeline(n))
-             for n in ctx.meshes]
+    exact = [ctx.exact_ks(n) for n in ctx.meshes]
     assert all(a > b for a, b in zip(exact, exact[1:])), exact
 
 
@@ -421,22 +402,45 @@ def test_criterion_1_reference_is_the_exact_variance_gap():
     assert max(gap for _, gap in ctx.et_residuals) < 1e-11
 
 
-def test_counterexample_sample_drawn_once_per_mesh(monkeypatch):
-    # criterion 6 and criterion 7's headline row read one sampled KS
-    draws = []
+def test_criteria_6_and_7_draw_once_and_integrate_once_per_mesh(
+        monkeypatch):
+    # criterion 6 draws the one sample, at the headline mesh; both read
+    # the exact KS of each mesh from the context's cache
+    draws, integrals = [], []
     simulate = mc.simulate_counterexample
+    exact_ks = acceptance.counterexample_exact_ks
 
-    def counting(res, cfg):
+    def drawing(res, cfg):
         draws.append(res.config.mesh_n)
         return simulate(res, cfg)
 
-    monkeypatch.setattr(mc, "simulate_counterexample", counting)
+    def integrating(res):
+        integrals.append(res.config.mesh_n)
+        return exact_ks(res)
+
+    monkeypatch.setattr(mc, "simulate_counterexample", drawing)
+    monkeypatch.setattr(acceptance, "counterexample_exact_ks", integrating)
     ctx = acceptance.AcceptanceContext(seed=1, paths=4000, meshes=(16, 32))
     c6 = acceptance.criterion_6(ctx)
     rows, _ = acceptance.mesh_convergence(ctx)
     acceptance.criterion_7(ctx)
-    assert sorted(draws) == [16, 32]
+    assert draws == [32] and sorted(integrals) == [16, 32]
     z = simulate(ctx.pipeline(32), mc.PathSimConfig(num_paths=4000, seed=1))
     ks = mc.ks_distance(z.empirical, z.target_cdf)
-    assert rows[-1].ks_sampled == ks
-    assert f"KS(Z, N(0, C)) = {ks:.5f} at 4000 samples" in c6.details
+    exact = exact_ks(ctx.pipeline(32))
+    assert rows[-1].ks_exact == exact
+    assert (f"exact KS(Z, N(0, C)) = {exact:.2e}, sampled KS = {ks:.5f} at "
+            "4000 samples (budget 0.01 each)") in c6.details
+
+
+def test_criterion_6_fails_on_a_planted_exact_ks(monkeypatch):
+    # 10^5 draws at mesh 16 pass the sampled budget; an exact KS above
+    # 0.01 fails the criterion on its own
+    ctx = acceptance.AcceptanceContext(seed=1, paths=100_000, meshes=(16,))
+    assert acceptance.criterion_6(ctx).passed
+    monkeypatch.setattr(acceptance, "counterexample_exact_ks",
+                        lambda res: 0.011)
+    r = acceptance.criterion_6(acceptance.AcceptanceContext(
+        seed=1, paths=100_000, meshes=(16,)))
+    assert not r.passed
+    assert r.details.startswith("exact KS(Z, N(0, C)) = 1.10e-02,")

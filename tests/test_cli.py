@@ -282,9 +282,11 @@ def test_cantor_with_one_endpoint_exits_2(tmp_path, capsys, bound):
 
 
 def test_cantor_zero_samples_exits_2(tmp_path, capsys):
-    code = main(["cantor", "depth=4", "samples=0", f"out_dir={tmp_path}"])
+    out = tmp_path / "out"
+    code = main(["cantor", "depth=4", "samples=0", f"out_dir={out}"])
     assert code == 2
     assert "samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("arg, message", [
@@ -298,20 +300,78 @@ def test_verify_zero_counts_exit_2(capsys, arg, message):
     assert message in capsys.readouterr().err
 
 
+def _never(*args):
+    raise AssertionError("ran on arguments that should have been refused")
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-@pytest.mark.parametrize("command", ["verify", "convergence"])
+@pytest.mark.parametrize("command", ["verify", "cantor", "convergence"])
 def test_seed_outside_64_bits_exits_2(tmp_path, capsys, monkeypatch,
                                       command, seed):
-    # refused as the context is built, before any criterion runs
-    def never(*args):
-        raise AssertionError("ran with a seed outside [0, 2^64)")
+    # refused as the arguments are parsed, before any work or write;
+    # convergence draws no sample, so it takes no seed at all
+    monkeypatch.setattr(acceptance, "CRITERIA", (_never,))
+    monkeypatch.setattr(acceptance, "mesh_convergence", _never)
+    out = tmp_path / "out"
+    assert main([command, f"seed={seed}"]
+                + [f"out_dir={out}"] * (command != "verify")) == 2
+    expected = ("unknown keys for convergence: ['seed']"
+                if command == "convergence"
+                else f"seed={seed}: seed must lie in [0, 2^64), got {seed}")
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
 
-    monkeypatch.setattr(acceptance, "CRITERIA", (never,))
-    monkeypatch.setattr(acceptance, "mesh_convergence", never)
-    assert main([command, f"seed={seed}", "meshes=8"]
-                 + [f"out_dir={tmp_path}"] * (command == "convergence")) == 2
-    assert (f"seed must lie in [0, 2^64), got {seed}"
-            in capsys.readouterr().err)
+
+@pytest.mark.parametrize("command, arg, message", [
+    ("verify", "meshes=8", "mesh_n must be at least 16, got 8"),
+    ("verify", "meshes=32,16", "meshes must strictly increase, got [32, 16]"),
+    ("verify", "sim_mesh=8", "mesh_n must be at least 16, got 8"),
+    ("convergence", "meshes=8", "mesh_n must be at least 16, got 8"),
+    ("convergence", "meshes=32,16",
+     "meshes must strictly increase, got [32, 16]"),
+])
+def test_meshes_refused_before_any_criterion(tmp_path, capsys, monkeypatch,
+                                             command, arg, message):
+    monkeypatch.setattr(acceptance, "CRITERIA", (_never,))
+    monkeypatch.setattr(acceptance, "mesh_convergence", _never)
+    out = tmp_path / "out"
+    assert main([command, arg]
+                + [f"out_dir={out}"] * (command == "convergence")) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("pipeline", ["n=16", "svg=yes"],
+     "svg=yes: invalid literal for int() with base 10: 'yes'"),
+    ("solve", ["verbose=x"],
+     "verbose=x: invalid literal for int() with base 10: 'x'"),
+])
+def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
+                                                        command, args,
+                                                        message):
+    if command == "solve":
+        LatticeMeasure(1, 0, np.array([1.0])).to_csv(tmp_path / "mu0.csv")
+        LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5])).to_csv(
+            tmp_path / "mu1.csv")
+        args = [f"mu0={tmp_path / 'mu0.csv'}",
+                f"mu1={tmp_path / 'mu1.csv'}"] + args
+    out = tmp_path / "out"
+    assert main([command, *args, f"out_dir={out}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_cli_block_parses():
+    # every advertised command line names only keys and values its command
+    # accepts; the commands themselves are not run
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")) as fh:
+        lines = [line.split()[3:] for line in fh
+                 if line.startswith("python -m brownian_transport ")]
+    assert sorted(tokens[0] for tokens in lines) == sorted(cli._KEYS)
+    for tokens in lines:
+        cli._parse_args(tokens)
 
 
 def test_verify_refuses_out_dir(tmp_path, capsys):
@@ -374,20 +434,16 @@ def test_verbose_only_for_solve(tmp_path, capsys, command):
 
 
 def test_convergence_command(tmp_path, capsys):
-    code = main([
-        "convergence", "meshes=25,50", "paths=20000", "seed=3",
-        f"out_dir={tmp_path}",
-    ])
+    code = main(["convergence", "meshes=25,50", f"out_dir={tmp_path}"])
     assert code == 0
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "n,ks_sampled,ks_exact,C,E_T"
+    assert lines[0] == "n,ks_exact,C,E_T"
     assert len(lines) == 3
     # the rows are criterion 7's numbers on the same context
-    ctx = acceptance.AcceptanceContext(seed=3, paths=20000, meshes=(25, 50))
+    ctx = acceptance.AcceptanceContext(meshes=(25, 50))
     rows, gaps = acceptance.mesh_convergence(ctx)
     assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
     details = acceptance.criterion_7(ctx).details
-    assert str(["%.5f" % r.ks_sampled for r in rows]) in details
     assert str(["%.2e" % r.ks_exact for r in rows]) in details
     gap = f"sup-node |f1(25) - f1(50)| = {gaps[0][0]:.6f}"
     assert gap in capsys.readouterr().out
@@ -395,12 +451,22 @@ def test_convergence_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("arg, message", [
     ("meshes=", "meshes must name at least one mesh"),
-    ("paths=0", "paths must be at least 1, got 0"),
 ])
 def test_convergence_over_nothing_exits_2(tmp_path, capsys, arg, message):
     out = tmp_path / "out"
     assert main(["convergence", arg, f"out_dir={out}"]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arg", ["paths=0", "paths=1000000", "seed=3"])
+def test_convergence_takes_no_sampling_keys(tmp_path, capsys, arg):
+    # convergence reads only the exact KS, so it draws no sample
+    out = tmp_path / "out"
+    assert main(["convergence", arg, f"out_dir={out}"]) == 2
+    key = arg.split("=")[0]
+    assert (f"unknown keys for convergence: ['{key}']; valid: ['meshes', "
+            "'out_dir']") in capsys.readouterr().err
     assert not out.exists()
 
 
