@@ -576,10 +576,15 @@ def criterion_10(ctx: AcceptanceContext):
     )
     ks = mc.ks_distance_lattice(sim.empirical, res.solution.stopped)
     ok = ks <= 0.003
+    # the 95 % DKW error of an empirical CDF of N samples is
+    # sqrt(ln(2 / 0.05) / (2 N)), above the tolerance for N < 204 938
+    dkw = math.sqrt(math.log(40.0) / (2 * ctx.paths))
+    below = (f", below the 95 % DKW error {dkw:.2g} at {ctx.paths} paths"
+             if dkw > 0.003 else "")
     return CriterionResult(
         10, "walk simulation matches the deterministic law", ok,
         f"KS = {ks:.5f} at {ctx.paths} paths on the mesh-{ctx.sim_mesh} "
-        f"pipeline instance (tolerance 0.003)",
+        f"pipeline instance (tolerance 0.003{below})",
     )
 
 

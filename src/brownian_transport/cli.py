@@ -9,6 +9,7 @@ parsed before any work, and a bad one is refused by its key.  Exit codes:
 error.
 """
 
+import contextlib
 import itertools
 import os
 import sys
@@ -189,15 +190,22 @@ def _cmd_solve(params):
         mu0 = LatticeMeasure(mu1.mesh_n, mu0.offset, mu0.masses)
     elif not mu1.positions.any():
         mu1 = LatticeMeasure(mu0.mesh_n, mu1.offset, mu1.masses)
-    out = _out_dir(params)
     verbose = params.get("verbose", 0)
     max_steps = params.get("max_steps")
     start = time.perf_counter()
-    if verbose >= 2:
-        with open(os.path.join(out, "steplog.csv"), "w") as log:
-            log.write("t,cell,nu,phi,frozen_flag\n")
+    with contextlib.ExitStack() as files:
+        observe = None
+        if verbose >= 2:
+            log = None
 
-            def write_rows(state):
+            def observe(state):
+                nonlocal log
+                if log is None:
+                    # solve observes its first state once its checks have
+                    # passed, so a refused solve writes no file
+                    log = files.enter_context(open(
+                        os.path.join(_out_dir(params), "steplog.csv"), "w"))
+                    log.write("t,cell,nu,phi,frozen_flag\n")
                 if float(state.live.sum()) <= LIVE_TOL:
                     return  # the terminating state takes no step
                 # one format over the step's rows: t, cell, nu, phi, flag
@@ -208,9 +216,8 @@ def _cmd_solve(params):
                 log.write((f"{state.t},%d,%.17g,%.17g,%d\n" * w)
                           % tuple(itertools.chain.from_iterable(rows)))
 
-            sol = solve(mu0, mu1, max_steps=max_steps, observe=write_rows)
-    else:
-        sol = solve(mu0, mu1, max_steps=max_steps)
+        sol = solve(mu0, mu1, max_steps=max_steps, observe=observe)
+    out = _out_dir(params)
     if verbose >= 1:
         # run statistics go to stderr: standard output and the files stay
         # the same run to run

@@ -9,16 +9,19 @@ Gauss-Legendre rule, ``gauss_legendre``.
 
 Randomness comes from a counter-based generator (Philox) keyed by the
 seed.  Start positions, drawn from a lattice measure, take one row of
-num_paths variates, and every walk step takes two more rows, survival
-uniforms and then coins, with word i of a row belonging to path i.  So
-path i's trajectory is a pure function of (seed, num_paths, i)
-regardless of scheduling; the row width makes num_paths part of the
-key.  The walk
-reads raw 64-bit words: the uniform of word w is (w >> 11) * 2^-53,
-exactly ``Generator.random``'s double, and the coin ``random() < 0.5``
-is the top bit of w being clear.  A step at which no cell freezes needs
-no survival uniform, so its row is skipped by advancing the counter
-instead of drawing it; the stream stays where drawing would leave it.
+num_paths variates; every walk step t takes a row of survival uniforms,
+and when t mod 64 = 0 a row of coins after it, with word i of a row
+belonging to path i.  So path i's trajectory is a pure function of
+(seed, num_paths, i) regardless of scheduling; the row width makes
+num_paths part of the key.  The walk reads raw 64-bit words: the uniform
+of word w is (w >> 11) * 2^-53, exactly ``Generator.random``'s double.
+Each bit of a Philox word is an independent fair coin, so one coin word
+serves 64 steps: path i's coin at step t is bit 63 - (t mod 64) of its
+word in the coin row of step 64 * floor(t / 64), the sign bit of that
+word shifted left by t mod 64, and a clear bit is a step up.  A step at
+which no cell freezes needs no survival uniform, so its row is skipped
+by advancing the counter instead of drawing it; the stream stays where
+drawing would leave it.
 
 Since no path reads another path's words, the walk runs in chunks of
 WALK_CHUNK paths.  Chunk [lo, hi) owns a generator keyed by the seed,
@@ -168,6 +171,7 @@ def _walk_chunk(lo, hi, num, cum, cells, g, q, freeze_steps, max_steps,
                               side="right")]
     _skip_raw(bits, num - m)
     x, times = x[lo:hi], times[lo:hi]
+    step = np.empty(m, np.int64)
     running = m
     for t in range(max_steps + 1):
         if not running:
@@ -191,11 +195,15 @@ def _walk_chunk(lo, hi, num, cum, cells, g, q, freeze_steps, max_steps,
             x[out] = (p[out] + offset) / n
             p[out] = _PARKED
             running -= out.size
-        step = bits.random_raw(m).view(np.int64)
-        _skip_raw(bits, num - m)
-        step >>= 63  # 0 where random() < 0.5 (a step up), else -1
+        if not t % 64:
+            coins = bits.random_raw(m)
+            _skip_raw(bits, num - m)
+        # coins holds the coin words shifted left by t mod 64: their sign
+        # bit gives 0 (a step up) where it is clear, else -1
+        np.right_shift(coins.view(np.int64), 63, out=step)
         step |= 1
         p += step
+        coins <<= 1
     live = np.flatnonzero(p >= 0)
     x[live] = (p[live] + offset) / n
     return live + lo
@@ -211,7 +219,9 @@ def simulate_first_intersection(start, stopping, cfg: PathSimConfig):
     window; both are checked on the cells of positive mass before any
     word is drawn.  Start cells take one row of num_paths raw words, and
     each step t one row for the survival uniforms, skipped without
-    drawing when no cell freezes at t, and one row for the +-1 coins.
+    drawing when no cell freezes at t, followed when t mod 64 = 0 by one
+    row of +-1 coins: bit 63 - (t mod 64) of a path's word in it is its
+    coin at step t, a clear bit a step up.
     The paths are walked in chunks of WALK_CHUNK (``_walk_chunk``), on a
     pool of one thread per available CPU, inline when there is one chunk
     or one CPU; the sample does not depend on either.  Paths still

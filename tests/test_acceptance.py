@@ -161,6 +161,23 @@ def test_criterion_10_simulation_matches_law(suite):
     _assert_criterion(suite[1], 10)
 
 
+def test_criterion_10_states_the_dkw_error_above_its_tolerance(suite):
+    # the 95 % DKW error at 10^6 paths, 0.0014, is within the tolerance and
+    # goes unstated; at 10^5 paths it is not, and the line says so
+    assert re.fullmatch(r"KS = 0\.\d{5} at 1000000 paths on the mesh-16 "
+                        r"pipeline instance \(tolerance 0\.003\)",
+                        suite[1][10].details)
+    for paths, dkw in ((204_937, "0.003"), (100_000, "0.0043")):
+        r = acceptance.criterion_10(
+            acceptance.AcceptanceContext(seed=1, paths=paths, meshes=(16,)))
+        assert r.details.endswith(
+            f" at {paths} paths on the mesh-16 pipeline instance (tolerance "
+            f"0.003, below the 95 % DKW error {dkw} at {paths} paths)")
+    r = acceptance.criterion_10(
+        acceptance.AcceptanceContext(seed=1, paths=204_938, meshes=(16,)))
+    assert r.details.endswith("(tolerance 0.003)")
+
+
 def _group_digest(solutions):
     """sha256 of each solution's freeze_step (<i8), survival and stopped
     masses (<f8), cut to 16 hex digits, joined in instance order and

@@ -219,6 +219,29 @@ def test_solve_negative_max_steps_exits_2(tmp_path, capsys):
     assert "max_steps must be nonnegative, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu0, mu1, args, message", [
+    (LatticeMeasure(1, 0, np.array([1.0])),
+     LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5])), ["max_steps=-1"],
+     "max_steps must be nonnegative, got -1"),
+    # a target of lower variance, refused by start_state
+    (LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5])),
+     LatticeMeasure(1, 0, np.array([1.0])), [],
+     "start measure support must lie inside the target support hull"),
+], ids=["max_steps", "variance"])
+def test_refused_solve_writes_nothing(tmp_path, capsys, mu0, mu1, args,
+                                      message):
+    # the step log opens only once solve's checks have passed
+    mu0.to_csv(tmp_path / "mu0.csv")
+    mu1.to_csv(tmp_path / "mu1.csv")
+    out = tmp_path / "D"
+    code = main(["solve", f"mu0={tmp_path / 'mu0.csv'}",
+                 f"mu1={tmp_path / 'mu1.csv'}", *args, "verbose=2",
+                 f"out_dir={out}"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _solve_with_mu0(tmp_path, mu0_text):
     mu1 = LatticeMeasure(1, -1, np.array([0.5, 0.0, 0.5]))
     mu1.to_csv(tmp_path / "mu1.csv")

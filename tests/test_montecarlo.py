@@ -338,13 +338,28 @@ def mesh16_pipeline():
 
 PINNED_WALKS = [
     # criterion 10's instance: start words drawn, rows of 10^4 words
-    ("mesh16", 10_000, 0, "87908b1c02f195ec"),
+    ("mesh16", 10_000, 0, "d73529d66269e5aa"),
     # 2 001 % 4 != 0: rows end inside a Philox block
-    ("mesh16", 2001, 1, "120b47210cb1293d"),
+    ("mesh16", 2001, 1, "6e07380757018af4"),
     ("halves-lattice", 2001, 3, "034c886134cbcd99"),
     # no cell freezes at t = 0, so its survival row is skipped
-    ("quarters-lattice", 2001, 3, "79ea1ff71cb9c5d7"),
+    ("quarters-lattice", 2001, 3, "1e41d0700d965812"),
 ]
+
+# each walk's digest as first pinned, before its coins came 64 steps to
+# a Philox word.  The chunk-size and one-CPU tests below check that a
+# walk does not depend on how it is run, so they keep naming a walk by
+# this digest when its pinned one is re-taken
+FIRST_DIGESTS = {
+    ("mesh16", 10_000, 0): "87908b1c02f195ec",
+    ("mesh16", 2001, 1): "120b47210cb1293d",
+    ("halves-lattice", 2001, 3): "034c886134cbcd99",
+    ("quarters-lattice", 2001, 3): "79ea1ff71cb9c5d7",
+}
+
+
+def _walk_id(case, num, seed, digest):
+    return f"{case}-{num}-{seed}-{FIRST_DIGESTS[case, num, seed]}"
 
 
 def _pinned_walk(mesh16_pipeline, case, num, seed):
@@ -369,6 +384,66 @@ def test_lattice_walk_sample_pinned(mesh16_pipeline, case, num, seed, digest):
     assert _walk_digest(r) == digest
 
 
+def _reference_path(start, sol, num, seed, i, max_time):
+    """Path i of a walk, one Python step at a time, from the documented
+    layout: word i of the start row, then per step t word i of the
+    survival row, read if the path's cell freezes at t, and at
+    t mod 64 = 0 word i of a coin row, whose bit 63 - (t mod 64) is step
+    t's coin.  Returns the stop position, the stop time (0 for a path
+    still running), and whether the path read a survival uniform."""
+    def word(index):
+        bits = np.random.Philox(key=np.uint64(seed))
+        mc._skip_raw(bits, index)
+        return int(bits.random_raw())
+
+    n = sol.mesh_n
+    g, q = sol.freeze_step.tolist(), sol.survival.tolist()
+    max_steps = math.ceil(max_time * n * n)
+    u = (word(i) >> 11) * 2.0**-53
+    cum = np.cumsum(start.masses)
+    k = int(start.cells[np.searchsorted(cum / cum[-1], u, side="right")])
+    k = k * n // start.mesh_n  # the lattice index on the solution's mesh
+    row = num  # the first word of the next row
+    read_survival = False
+    for t in range(max_steps + 1):
+        j = k - sol.offset
+        frozen = g[j] if 0 <= j < len(g) else max_steps + 1
+        if frozen == t:
+            read_survival = True
+            if (word(row + i) >> 11) * 2.0**-53 >= q[j]:
+                return k / n, t / float(n * n), read_survival
+        row += num
+        if frozen < t:
+            return k / n, t / float(n * n), read_survival
+        if t % 64 == 0:
+            coins = word(row + i)
+            row += num
+        k += -1 if coins >> (63 - t % 64) & 1 else 1
+    return k / n, 0.0, read_survival
+
+
+def test_walk_follows_the_documented_stream_layout(mesh16_pipeline):
+    # chosen paths of a 2 001-path mesh-16 walk, rebuilt from fresh
+    # generators word by word, equal the sample bit for bit
+    start, sol = mesh16_pipeline.mu0n, mesh16_pipeline.solution
+    num, seed = 2001, 1
+    r = mc.simulate_first_intersection(
+        start, sol, mc.PathSimConfig(num_paths=num, seed=seed, max_time=50.0)
+    )
+    steps = np.rint(r.times * sol.mesh_n**2).astype(int)
+    late = np.argsort(steps, kind="stable")[-6:]
+    paths = sorted({0, 1, 2, 3, 999, num - 1, *np.flatnonzero(
+        (steps > 64) & (steps < 128))[:4].tolist(), *late.tolist()})
+    read = []
+    for i in paths:
+        x, t, read_survival = _reference_path(start, sol, num, seed, i, 50.0)
+        assert (r.positions[i], r.times[i]) == (x, t), i
+        read.append(read_survival)
+    # every path reads the coin row of step 64, the late ones that of 128
+    assert steps[paths].min() > 64 and steps[late].min() > 128
+    assert any(read) and not all(read)
+
+
 def _affinity(monkeypatch, count):
     monkeypatch.setattr(mc.os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
@@ -383,7 +458,9 @@ CHUNKED_WALKS = [
 ]
 
 
-@pytest.mark.parametrize("chunk, case, num, seed, digest", CHUNKED_WALKS)
+@pytest.mark.parametrize(
+    "chunk, case, num, seed, digest", CHUNKED_WALKS,
+    ids=[f"{w[0]}-{_walk_id(*w[1:])}" for w in CHUNKED_WALKS])
 def test_pinned_walk_independent_of_chunk_size(
         monkeypatch, mesh16_pipeline, chunk, case, num, seed, digest):
     _affinity(monkeypatch, 2)
@@ -392,7 +469,8 @@ def test_pinned_walk_independent_of_chunk_size(
     assert _walk_digest(r) == digest
 
 
-@pytest.mark.parametrize("case, num, seed, digest", PINNED_WALKS)
+@pytest.mark.parametrize("case, num, seed, digest", PINNED_WALKS,
+                         ids=[_walk_id(*w) for w in PINNED_WALKS])
 def test_pinned_walk_on_one_cpu_runs_inline(
         monkeypatch, mesh16_pipeline, case, num, seed, digest):
     def no_pool(*args, **kwargs):
