@@ -536,7 +536,8 @@ def criterion_8(ctx: AcceptanceContext):
         f"min(f1 - (1 - t0)) on [2, 3] = {rep.min_deviation:+.5f} "
         f"(budget {-tol:+.5f}); band maxima inner {rep.inner_band_max:.5f} "
         f">= outer {rep.outer_band_max:.5f} is {rep.monotone_ok}; fitted "
-        f"decay exponent {rep.fitted_beta:.2f}",
+        f"decay exponent {rep.fitted_beta:.2f} (reported only: no bound; it "
+        "follows the window R)",
     )
 
 

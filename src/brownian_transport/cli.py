@@ -37,30 +37,30 @@ def _meshes(value):
     return tuple(int(m) for m in value.split(",") if m)
 
 
-# per command, each key and the parser of its value: every value is parsed
-# before the command does any work or writes any file
+# per command, each key, the parser of its value and the keyword argument
+# of the callee it feeds (`_given`), or None for a key the command reads
+# itself: every value is parsed before the command does any work or
+# writes any file
 _KEYS = {
-    "solve": {"mu0": str, "mu1": str, "out_dir": str, "verbose": int,
-              "max_steps": int},
-    "pipeline": {"t0": float, "r": float, "depth": int, "R": float,
-                 "n": int, "margin": float, "out_dir": str, "svg": int},
+    "solve": {"mu0": (str, None), "mu1": (str, None),
+              "out_dir": (str, None), "verbose": (int, None),
+              "max_steps": (int, "max_steps")},
+    "pipeline": {"t0": (float, "t0"), "r": (float, "cantor_radius"),
+                 "depth": (int, "cantor_depth"), "R": (float, "truncation_R"),
+                 "n": (int, "mesh_n"), "margin": (float, "horizon_margin"),
+                 "out_dir": (str, None), "svg": (int, None)},
     # verify writes no file, so it takes no out_dir
-    "verify": {"seed": mc.check_seed, "paths": int, "meshes": _meshes,
-               "instances": int, "gap_samples": int, "sim_mesh": int,
-               "cells": int},
-    "cantor": {"r": float, "lo": float, "hi": float, "depth": int,
-               "samples": int, "seed": mc.check_seed, "out_dir": str},
-    "convergence": {"meshes": _meshes, "out_dir": str},
+    "verify": {"seed": (mc.check_seed, "seed"), "paths": (int, "paths"),
+               "meshes": (_meshes, "meshes"),
+               "instances": (int, "random_instances"),
+               "gap_samples": (int, "gap_samples"),
+               "sim_mesh": (int, "sim_mesh"),
+               "cells": (int, "enumeration_cells")},
+    "cantor": {"r": (float, None), "lo": (float, None), "hi": (float, None),
+               "depth": (int, None), "samples": (int, None),
+               "seed": (mc.check_seed, None), "out_dir": (str, None)},
+    "convergence": {"meshes": (_meshes, "meshes"), "out_dir": (str, None)},
 }
-
-# the keys that name a keyword argument of a callee, and its name
-_PIPELINE_ARGS = {"t0": "t0", "r": "cantor_radius", "depth": "cantor_depth",
-                  "R": "truncation_R", "n": "mesh_n",
-                  "margin": "horizon_margin"}
-_CONTEXT_ARGS = {"seed": "seed", "paths": "paths", "meshes": "meshes",
-                 "instances": "random_instances",
-                 "gap_samples": "gap_samples", "sim_mesh": "sim_mesh",
-                 "cells": "enumeration_cells"}
 
 
 def _parse_args(tokens):
@@ -92,16 +92,16 @@ def _parse_args(tokens):
                     params.setdefault(key.strip(), value.strip())
         except OSError as exc:
             raise PreconditionError(f"cannot read config file: {exc}") from exc
-    parsers = _KEYS[command]
-    unknown = set(params) - set(parsers)
+    keys = _KEYS[command]
+    unknown = set(params) - set(keys)
     if unknown:
         raise PreconditionError(
             f"unknown keys for {command}: {sorted(unknown)}; valid: "
-            f"{sorted(parsers)}"
+            f"{sorted(keys)}"
         )
     for key, value in params.items():
         try:
-            params[key] = parsers[key](value)
+            params[key] = keys[key][0](value)
         except (PreconditionError, ValueError) as exc:
             raise PreconditionError(f"{key}={value}: {exc}") from exc
     return command, params
@@ -147,14 +147,15 @@ def write_svg_lineplot(path, xs, ys, title=""):
         )
 
 
-def _given(params, args):
-    """Keyword arguments for the keys the user gave; the others keep the
-    defaults of the callee.  ``args`` maps key -> argument name."""
-    return {arg: params[key] for key, arg in args.items() if key in params}
+def _given(command, params):
+    """Keyword arguments of the callee for the keys of ``command`` that
+    the user gave (`_KEYS`); the others keep the callee's defaults."""
+    return {arg: params[key] for key, (_, arg) in _KEYS[command].items()
+            if arg is not None and key in params}
 
 
 def _cmd_pipeline(params):
-    cfg = CantelliConfig(**_given(params, _PIPELINE_ARGS))
+    cfg = CantelliConfig(**_given("pipeline", params))
     res = run_pipeline(cfg)
     out = _out_dir(params)
     xs = res.f1.xs
@@ -191,7 +192,6 @@ def _cmd_solve(params):
     elif not mu1.positions.any():
         mu1 = LatticeMeasure(mu0.mesh_n, mu1.offset, mu1.masses)
     verbose = params.get("verbose", 0)
-    max_steps = params.get("max_steps")
     start = time.perf_counter()
     with contextlib.ExitStack() as files:
         observe = None
@@ -216,7 +216,7 @@ def _cmd_solve(params):
                 log.write((f"{state.t},%d,%.17g,%.17g,%d\n" * w)
                           % tuple(itertools.chain.from_iterable(rows)))
 
-        sol = solve(mu0, mu1, max_steps=max_steps, observe=observe)
+        sol = solve(mu0, mu1, observe=observe, **_given("solve", params))
     out = _out_dir(params)
     if verbose >= 1:
         # run statistics go to stderr: standard output and the files stay
@@ -247,15 +247,20 @@ def _print_criterion(result):
 
 
 def _cmd_verify(params):
-    kwargs = _given(params, _CONTEXT_ARGS)
-    results = acceptance.run_all(report=_print_criterion, **kwargs)
+    results = acceptance.run_all(report=_print_criterion,
+                                 **_given("verify", params))
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
 
 
 def _cmd_cantor(params):
-    if "lo" in params or "hi" in params:
+    ends = [key for key in ("lo", "hi") if key in params]
+    if ends and "r" in params:
+        raise PreconditionError(
+            "cantor takes r= or both lo= and hi=, not r= with "
+            + " and ".join(f"{key}=" for key in ends))
+    if ends:
         missing = [key for key in ("lo", "hi") if key not in params]
         if missing:
             raise PreconditionError(
@@ -284,7 +289,7 @@ def _cmd_cantor(params):
 
 
 def _cmd_convergence(params):
-    ctx = acceptance.AcceptanceContext(**_given(params, _CONTEXT_ARGS))
+    ctx = acceptance.AcceptanceContext(**_given("convergence", params))
     out = _out_dir(params)
     rows, gaps = acceptance.mesh_convergence(ctx)
     for r in rows:

@@ -55,13 +55,15 @@ halves from the cost and moves them.  A step is quiet when the halved
 live mass exceeds the cost on every cell of the range but the absorbing
 ones, which carry neither; the test writes into a mask held with the
 range and counts the cells that pass, and any other step, and any
-doubt, takes the exact update above.  The cost stays nonnegative: a
-quiet step has just shown cost > live/2 on every cell that does not
-absorb, so cost - live/2 > 0 there, and 0 - 0 on the absorbing cells,
-so it needs no PHI_ABORT check; the exact update subtracts
-min(live/2, cost).  A negative cost is at most live/2, so the step that
-meets one is exact, and that step checks the cost it starts from
-against PHI_ABORT.  Arrivals stop on the absorbing cells of the range:
+doubt, takes the exact update above.  The cost stays >= 0, and 0 on
+both window edge cells, so no mass leaves the window: `start_state`
+leaves it so (cell 0 by the recurrence, the last by the forced zero,
+the rest by the clamp); an exact step subtracts min(live/2, cost) and
+leaves a newly frozen cell at 0; a quiet step needs the cells that pass
+to be the absorbing ones, and a zero-cost cell always passes, so it
+absorbs and keeps its cost, and elsewhere cost - live/2 > 0.  The run's
+mass-drift and residual-cost checks stop a hand-built state that breaks
+this.  Arrivals stop on the absorbing cells of the range:
 one by one where there are a handful, listed when the range or the
 absorbing set changes, and through the absorbing mask otherwise.
 
@@ -86,7 +88,6 @@ from .errors import ConsistencyError, NonTerminationError, PreconditionError
 from .lattice import LatticeMeasure, write_csv
 
 PHI_CLAMP = -1e-12  # round-off absorbed silently
-PHI_ABORT = -1e-9  # beyond this the run is inconsistent
 LIVE_TOL = 1e-12
 # arrivals on at most this many absorbing cells stop one cell at a time in
 # Python, more through the absorbing mask: the loop costs 0.3-0.5 us a
@@ -128,15 +129,13 @@ class SolverState:
     _last_stop: np.ndarray = field(init=False, repr=False)
     # set up by the run loop (`_buffers`): the occupation, which holds
     # `live` and `stopped` as its two rows, the kernel's work buffers, the
-    # edge cells of live and diffused mass, the full-row sums of live,
-    # stopped and diffused mass (rows of `_sums`, written through views
-    # shaped like the leading axes), the live span, and the arrival range
-    # with its landing cells
+    # full-row sums of live, stopped and diffused mass (rows of `_sums`,
+    # written through views shaped like the leading axes), the live span,
+    # and the arrival range with its landing cells
     _occupation: np.ndarray = field(init=False, repr=False, default=None)
     _diffused: np.ndarray = field(init=False, repr=False, default=None)
     _half: np.ndarray = field(init=False, repr=False, default=None)
     _passed: np.ndarray = field(init=False, repr=False, default=None)
-    _edges: tuple = field(init=False, repr=False, default=None)
     _sums: np.ndarray = field(init=False, repr=False, default=None)
     _sum_out: tuple = field(init=False, repr=False, default=None)
     _span: tuple = field(init=False, repr=False, default=None)
@@ -156,8 +155,6 @@ class SolverState:
         # cell k at index k + 1: the cells beyond both edges hold zero
         self._half = np.zeros(lead + (w + 2,))
         self._passed = np.empty(self.live.shape, dtype=bool)
-        ends = np.s_[..., ::max(w - 1, 1)]  # cells 0 and w - 1
-        self._edges = self.live[ends], self._diffused[ends]
         self._sums = np.empty((3, math.prod(lead)))
         # the live and stopped sums, and the diffused one
         self._sum_out = (self._sums[:2].reshape((2,) + lead),
@@ -341,7 +338,7 @@ def _advance(state: SolverState):
     if state._range is None:
         a, b = state._span
         _arrival_range(state, max(a - 1, 0), min(b + 1, live.shape[-1] - 1))
-    lo, hi, edge, ls, ps, hs, left, right, landing, passed = state._range
+    lo, hi, ls, ps, hs, left, right, landing, passed = state._range
     absorbing, few = state._landing
 
     np.multiply(ls, _HALF, out=hs)
@@ -351,19 +348,8 @@ def _advance(state: SolverState):
     # update runs
     np.less_equal(ps, hs, out=passed)
     quiet = np.count_nonzero(passed) == absorbing
-    if quiet:
-        # quiet: d == live, nothing stops and the halves are final.  The
-        # test has just shown phi > live / 2 on every other cell, so
-        # phi - live / 2 > 0 there, and 0 - 0 on the absorbing cells: the
-        # cost stays nonnegative and PHI_ABORT needs no check
-        if edge and np.count_nonzero(state._edges[0]):
-            _leak(state, state._edges[0], t)
-    else:
-        # a negative cost is at most live / 2, so the step that meets one
-        # is exact; the update itself keeps a cost nonnegative, as
-        # d / 2 = min(live / 2, phi) <= phi
-        if ps.min() < PHI_ABORT:
-            _negative_cost(state, ps, lo, hi, t)
+    # quiet: d == live, nothing stops and the halves are final
+    if not quiet:
         d = state._diffused  # zero outside the range, as d is there
         d[..., :lo] = 0.0
         d[..., hi + 1:] = 0.0
@@ -384,8 +370,6 @@ def _advance(state: SolverState):
             few = few + _cells(newly, lo) \
                 if few is not None and absorbing <= FEW_LANDING else None
             state._landing = absorbing, few
-        if edge and np.count_nonzero(state._edges[1]):
-            _leak(state, state._edges[1], t)
         np.subtract(ls, ds, out=ls)  # the mass stopping at t
         state.stopped[..., lo:hi + 1] += ls
         np.copyto(state._last_stop, t, where=np.logical_or.reduce(ls, -1))
@@ -420,27 +404,12 @@ def _advance(state: SolverState):
     return quiet
 
 
-def _negative_cost(state, ps, lo, hi, t):
-    """Raise for the most negative cost on the range [lo, hi]."""
-    j = int(np.argmin(ps))
-    i, k = divmod(j, hi - lo + 1)
-    cell = int(np.reshape(state.offset, -1)[i]) + lo + k
-    raise ConsistencyError(
-        f"cost went negative ({ps.flat[j]:.3e}) at cell {cell}, "
-        f"step {t}{state._name(i)}"
-    )
-
-
 class _ArrivalRange(NamedTuple):
     """The cells [lo, hi] a step works on, with views of the state's
     arrays on them, and its landing cells, the absorbing ones."""
 
     lo: int
     hi: int
-    # whether the range holds a window edge cell that did not absorb when
-    # the range was set up; an absorbing cell holds no live mass at the
-    # top of a step and diffuses none
-    edge: bool
     live: np.ndarray
     phi: np.ndarray
     half: np.ndarray  # the halves of the range's own cells
@@ -462,11 +431,8 @@ def _arrival_range(state, lo, hi):
     landing = state.absorbing[..., lo:hi + 1]
     absorbing = np.count_nonzero(landing)
     few = _cells(landing, lo) if absorbing <= FEW_LANDING else None
-    first, last = state.absorbing[..., 0], state.absorbing[..., -1]
-    edge = (lo == 0 and not first.all()) \
-        or (hi == state.live.shape[-1] - 1 and not last.all())
     state._range = _ArrivalRange(
-        lo, hi, edge,
+        lo, hi,
         state.live[..., lo:hi + 1], state.phi[..., lo:hi + 1],
         half[..., lo + 1:hi + 2], half[..., lo:hi + 1],
         half[..., lo + 2:hi + 3], landing, state._passed[..., lo:hi + 1])
@@ -482,14 +448,6 @@ def _cells(mask, lo):
         return [(0, k) for k in cols]
     rows = rows[0].tolist()
     return list(zip(rows, zip(rows, cols)))
-
-
-def _leak(state, edges, t):
-    """Raise for the first row with mass on a window edge in `edges`."""
-    i = int(np.flatnonzero(edges.reshape(-1, edges.shape[-1]).any(-1))[0])
-    raise ConsistencyError(
-        f"mass diffusing out of the window at step {t}{state._name(i)}"
-    )
 
 
 def _coincidence_violation(state: SolverState):

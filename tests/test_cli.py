@@ -304,6 +304,17 @@ def test_cantor_with_one_endpoint_exits_2(tmp_path, capsys, bound):
     assert f"{missing}= is missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [["lo=-1", "hi=1"], ["hi=1"]])
+def test_cantor_with_r_and_an_endpoint_exits_2(tmp_path, capsys, bounds):
+    # r= alone is the symmetric interval; with lo= or hi= it would be dropped
+    out = tmp_path / "out"
+    code = main(["cantor", "r=0.3", *bounds, "depth=4", f"out_dir={out}"])
+    assert code == 2
+    keys = " and ".join(b.split("=")[0] + "=" for b in bounds)
+    assert f"not r= with {keys}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cantor_zero_samples_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["cantor", "depth=4", "samples=0", f"out_dir={out}"])
